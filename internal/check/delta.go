@@ -35,16 +35,19 @@ const deltaCandidateLimit = 16
 //     byte-identical to a run with Options.DisableIncremental (the
 //     pre-engine reference path), at several worker counts.
 //
-// ApplyUndo's undo is also verified to restore the graph fingerprint, since
-// the engine reuses one scratch graph across all of a worker's candidates.
+// Candidates are replayed through transform.Candidate.ApplyLog and
+// UndoLog.Revert — the apply/revert cycle the engine runs on its scratch
+// graphs — and every revert must restore the graph fingerprint, since the
+// engine reuses one scratch graph across all of a worker's candidates. On
+// clustered machines the copy-spill candidates are replayed too: the
+// from-scratch measurement of the log-applied graph must match a
+// clone+Apply of the same candidate.
+//
+// Every target family is covered: clustered register files and
+// exposed-datapath buffers are reuse item sets like any other, and core.Run
+// scores their candidates on the same incremental path.
 func checkDelta(rep *Report, c *Case) {
 	m := c.Mach.Config()
-	if m.Clusters > 1 || m.BufferDepth > 0 {
-		// core.Run forces DisableIncremental on the extended value-holding
-		// targets (copy-spills rewrite opcodes the undo log cannot restore),
-		// so there is no incremental engine to hold to account here.
-		return
-	}
 	g := buildGraph(rep, OracleDelta, c)
 	if g == nil {
 		return
@@ -58,6 +61,7 @@ func checkDelta(rep *Report, c *Case) {
 		base[r.Name] = measure.Measure(r.Build(g))
 	}
 
+	var log transform.UndoLog
 	applied := 0
 	for _, r := range resources {
 		res := base[r.Name]
@@ -73,24 +77,36 @@ func checkDelta(rep *Report, c *Case) {
 				} else {
 					cands = transform.FUCandidates(g, res, set)
 				}
+				if m.Clusters > 1 {
+					cands = append(cands, transform.CopySpillCandidates(g, res, set)...)
+				}
 				for _, cand := range cands {
 					if applied >= deltaCandidateLimit {
 						break
 					}
-					if !cand.SeqOnly() {
-						continue
-					}
 					before := g.Fingerprint()
-					added, undo, err := cand.ApplyUndo(g)
-					if err != nil {
+					var ref *dag.Graph
+					if !cand.SeqOnly() {
+						ref = g.Clone()
+						ref.Func = g.Func.Clone()
+					}
+					if err := cand.ApplyLog(g, &log); err != nil {
+						if g.Fingerprint() != before {
+							rep.failf(OracleDelta, "%s: refused application left the graph changed", cand)
+							return
+						}
 						continue // inapplicable candidates are allowed to refuse
 					}
 					applied++
 					rep.tick(OracleDelta)
-					checkDeltaCandidate(rep, g, resources, base, baseReach, levels, cand, added)
-					undo()
+					if cand.SeqOnly() {
+						checkDeltaCandidate(rep, g, resources, base, baseReach, levels, cand, log.Added())
+					} else {
+						checkCopySpillCandidate(rep, g, ref, resources, cand)
+					}
+					log.Revert()
 					if g.Fingerprint() != before {
-						rep.failf(OracleDelta, "%s: undo did not restore the graph", cand)
+						rep.failf(OracleDelta, "%s: revert did not restore the graph", cand)
 						return
 					}
 				}
@@ -160,6 +176,30 @@ func checkDeltaCandidate(rep *Report, g *dag.Graph, resources []core.Resource,
 		if ru.Rel.Pairs() != fresh.Rel.Pairs() {
 			rep.failf(OracleDelta, "%s %s: delta relation has %d pairs, rebuild %d",
 				r.Name, cand, ru.Rel.Pairs(), fresh.Rel.Pairs())
+		}
+	}
+}
+
+// checkCopySpillCandidate compares the graph g a copy-spill was just
+// applied to through the undo log against ref, a clone of the pre-apply
+// graph, after applying the same candidate to ref with Apply — the commit
+// path. Both must yield the same graph and the same from-scratch
+// measurement of every resource.
+func checkCopySpillCandidate(rep *Report, g, ref *dag.Graph, resources []core.Resource, cand *transform.Candidate) {
+	if err := cand.Apply(ref); err != nil {
+		rep.failf(OracleDelta, "%s: Apply on a clone failed after ApplyLog succeeded: %v", cand, err)
+		return
+	}
+	if g.Fingerprint() != ref.Fingerprint() {
+		rep.failf(OracleDelta, "%s: ApplyLog and clone+Apply produced different graphs", cand)
+		return
+	}
+	for _, r := range resources {
+		got := measure.Measure(r.Build(g))
+		want := measure.Measure(r.Build(ref))
+		if got.Width != want.Width || len(got.Chains) != len(want.Chains) {
+			rep.failf(OracleDelta, "%s %s: log-applied width %d (%d chains), clone+Apply %d (%d chains)",
+				r.Name, cand, got.Width, len(got.Chains), want.Width, len(want.Chains))
 		}
 	}
 }

@@ -46,23 +46,26 @@ type iterState struct {
 //
 // Two evaluation paths exist:
 //
-//   - The incremental path (the default) applies the candidate to the
-//     worker's scratch graph through a reusable transform.UndoLog.
-//     Sequencing-only candidates then update the scratch copy of the
-//     closure with order.Relation.AddClosureEdge, rederive each resource's
-//     reuse pairs into pooled relation storage
+//   - The incremental path (the default, on every target family) applies
+//     the candidate to the worker's scratch graph through a reusable
+//     transform.UndoLog. Sequencing-only candidates then update the scratch
+//     copy of the closure with order.Relation.AddClosureEdge, rederive each
+//     resource's reuse pairs into pooled relation storage
 //     (reuse.Reuse.UpdateClosureInto), and warm-start the matching from the
 //     committed measurement with a pooled matcher
-//     (measure.ChainsDeltaWidth). Spill payloads — which add nodes and
-//     rewrite operands, so no cheap delta exists — are measured from
-//     scratch through the cache and reverted via the same undo log. In
+//     (measure.ChainsDeltaWidth). Per-cluster register files and
+//     exposed-datapath buffers are ordinary reuse item sets, so they take
+//     the same delta. Spill and copy-spill payloads — which add nodes and
+//     rewrite operands or opcodes, so no cheap delta exists — are measured
+//     from scratch through the cache and reverted via the same undo log. In
 //     steady state the path allocates nothing: graphs, closures, relations,
 //     matchers, and analysis buffers all reset in place across candidates
 //     and across reduction iterations.
-//   - Options.DisableIncremental reverts to the pre-engine reference path:
+//   - Options.DisableIncremental selects the pre-engine reference path:
 //     clone the graph per candidate, apply, re-measure everything from
-//     scratch. The differential delta oracle in internal/check compares the
-//     two on every fuzz case.
+//     scratch. It is kept only as the reference the differential delta
+//     oracle in internal/check compares against on every fuzz case, and as
+//     the baseline of the full-path benchmarks.
 //
 // Both paths produce the same widths (a maximum matching is a maximum
 // matching however it is reached), so the selection is bit-identical across
@@ -360,8 +363,8 @@ func (e *evaluator) evalAll(cands []scored) ([]evalOutcome, error) {
 // evalIncremental scores a candidate on the worker's scratch graph through
 // the reusable undo log: apply, measure, revert. Sequencing-only candidates
 // are measured by pooled closure update plus warm-started matching; spill
-// payloads (and register resources whose kill selection shifted) fall back
-// to a full from-scratch measurement through the cache.
+// and copy-spill payloads (and register resources whose kill selection
+// shifted) fall back to a full from-scratch measurement through the cache.
 func (e *evaluator) evalIncremental(sc *evalScratch, st *iterState, s scored) evalOutcome {
 	if err := s.cand.ApplyLog(sc.g, &sc.log); err != nil {
 		return evalOutcome{s: s}
@@ -407,8 +410,8 @@ func (e *evaluator) evalIncremental(sc *evalScratch, st *iterState, s scored) ev
 			}
 		}
 	} else {
-		// Spills restructure values — they add nodes and rewrite uses — so
-		// no cheap delta exists; re-measure every resource from scratch
+		// Spills and copy-spills restructure values — they add nodes and
+		// rewrite uses or opcodes — so no cheap delta exists; re-measure every resource from scratch
 		// through the cache, which still collapses repeats of the same
 		// transformed state across styles and plateau scans.
 		for ri := range e.resources {

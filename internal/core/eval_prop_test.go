@@ -12,15 +12,20 @@ import (
 	"ursa/internal/machine"
 	"ursa/internal/measure"
 	"ursa/internal/metrics"
+	"ursa/internal/target"
 )
 
 // runVariant compiles a private clone of f under opts and returns the
 // report. Each variant gets its own Func and cache so spill-reload register
 // names and memoized measurements cannot leak between the runs being
-// compared.
+// compared. On clustered machines the block is partitioned first, as the
+// pipeline does, so inter-cluster copies and copy-spill candidates exist.
 func runVariant(t *testing.T, f *ir.Func, opts Options, style scoreStyle) *Report {
 	t.Helper()
 	cl := f.Clone()
+	if _, err := target.Clusterize(cl.Blocks[0], opts.Machine); err != nil {
+		t.Fatalf("Clusterize: %v", err)
+	}
 	g, err := dag.Build(cl.Blocks[0])
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -60,7 +65,10 @@ func reportsEqual(a, b *Report) string {
 // transformation sequence as the fresh clone-per-candidate reference path
 // (DisableIncremental). This is the contract that lets every pool reset
 // protocol change land without re-auditing the reduction loop: any missed
-// reset or stale arena state shows up as a diverged Applied sequence.
+// reset or stale arena state shows up as a diverged Applied sequence. The
+// machines span every target family the evaluator serves — classic,
+// clustered (per-cluster register files, the copy bus, copy-spills), and
+// buffered exposed datapath.
 func TestFreshVsPooledEvaluator(t *testing.T) {
 	trials := 500
 	if testing.Short() || raceEnabled {
@@ -70,6 +78,8 @@ func TestFreshVsPooledEvaluator(t *testing.T) {
 	machines := []*machine.Config{
 		machine.VLIW(1, 3), machine.VLIW(1, 4), machine.VLIW(2, 3),
 		machine.VLIW(2, 4), machine.VLIW(3, 4), machine.VLIW(4, 6),
+		machine.Clustered(2, 1, 3, 1), machine.Clustered(2, 2, 4, 1), machine.Clustered(4, 1, 3, 2),
+		machine.ExposedDatapath(2, 4, 1), machine.ExposedDatapath(2, 6, 1), machine.ExposedDatapath(4, 6, 2),
 	}
 	styles := []scoreStyle{styleDefault, styleAggressive, styleSpillFirst}
 	for trial := 0; trial < trials; trial++ {

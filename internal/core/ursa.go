@@ -326,13 +326,6 @@ func Run(g *dag.Graph, opts Options) (*Report, error) {
 		// transformed states.
 		opts.Cache = measure.NewCache()
 	}
-	if m.Clusters > 1 || m.BufferDepth > 0 {
-		// Copy-spill candidates rewrite an opcode in place, which the
-		// incremental engine's undo log cannot restore, and the extended
-		// target models have no delta oracle coverage yet; both run on the
-		// full-clone reference evaluation path.
-		opts.DisableIncremental = true
-	}
 	styles := []scoreStyle{styleDefault, styleAggressive}
 	if !opts.DisableSpills {
 		styles = append(styles, styleSpillFirst)

@@ -110,7 +110,7 @@ func (c *Candidate) Apply(g *dag.Graph) error {
 		}
 	}
 	if c.CopySpill != nil {
-		if err := applyCopySpill(g, c.CopySpill); err != nil {
+		if err := applyCopySpill(g, c.CopySpill, nil); err != nil {
 			return err
 		}
 	}
@@ -128,6 +128,7 @@ type UndoLog struct {
 	added   [][2]int
 	removed []removedEdge
 	patches []argPatch
+	rewrite opRewrite
 }
 
 type removedEdge struct {
@@ -143,16 +144,27 @@ type argPatch struct {
 	old  ir.VReg
 }
 
+// opRewrite records the one in-place opcode rewrite a copy-spill makes:
+// the instruction and its prior Op, Args and Sym. in == nil means none.
+type opRewrite struct {
+	in   *ir.Instr
+	op   ir.Op
+	args []ir.VReg
+	sym  string
+}
+
 // Added returns the sequence edges the application actually added (edges
 // already present were skipped). The slice aliases the log and is valid
-// until the next ApplyLog. For spill candidates it also contains the
-// store/load wiring, so incremental closure updates must not be derived
-// from it — the evaluator re-measures spilled graphs from scratch.
+// until the next ApplyLog. For spill and copy-spill candidates it also
+// contains the store/load wiring, so incremental closure updates must not
+// be derived from it — the evaluator re-measures spilled graphs from
+// scratch.
 func (u *UndoLog) Added() [][2]int { return u.added }
 
-// Revert undoes the recorded application: operand rewrites are restored,
-// removed edges re-added with their original kinds, added edges removed,
-// and any nodes and registers the application created are truncated away.
+// Revert undoes the recorded application: operand and opcode rewrites are
+// restored, removed edges re-added with their original kinds, added edges
+// removed, and any nodes and registers the application created are
+// truncated away.
 // Successor/predecessor list order may differ from the pre-apply state
 // (re-added edges append at the tail); every analysis the evaluator runs is
 // order-independent, and the committed graph never goes through a revert.
@@ -166,6 +178,9 @@ func (u *UndoLog) Revert() {
 			p.in.Args[p.slot] = p.old
 		}
 	}
+	if r := u.rewrite; r.in != nil {
+		r.in.Op, r.in.Args, r.in.Sym = r.op, r.args, r.sym
+	}
 	for i := len(u.added) - 1; i >= 0; i-- {
 		g.RemoveEdge(u.added[i][0], u.added[i][1])
 	}
@@ -177,6 +192,28 @@ func (u *UndoLog) Revert() {
 	g.Func.TruncateRegs(u.regs)
 }
 
+// addEdge adds the edge (a, b), which must not exist yet, recording it
+// when the log is non-nil (a nil log is the commit path).
+func (u *UndoLog) addEdge(g *dag.Graph, a, b int, kind dag.EdgeKind) {
+	g.AddEdge(a, b, kind)
+	if u != nil {
+		u.added = append(u.added, [2]int{a, b})
+	}
+}
+
+// removeEdge removes the edge (a, b) if present, recording it with its
+// kind when the log is non-nil.
+func (u *UndoLog) removeEdge(g *dag.Graph, a, b int) {
+	kind, ok := g.EdgeKindOf(a, b)
+	if !ok {
+		return
+	}
+	if u != nil {
+		u.removed = append(u.removed, removedEdge{a: a, b: b, kind: kind})
+	}
+	g.RemoveEdge(a, b)
+}
+
 // reset points the log at a fresh application on g.
 func (u *UndoLog) reset(g *dag.Graph) {
 	u.g = g
@@ -185,20 +222,15 @@ func (u *UndoLog) reset(g *dag.Graph) {
 	u.added = u.added[:0]
 	u.removed = u.removed[:0]
 	u.patches = u.patches[:0]
+	u.rewrite = opRewrite{}
 }
 
-// ApplyLog tentatively applies the candidate — sequencing edges and, unlike
-// ApplyUndo, spill payloads too — recording every change in the reusable
-// log. On error the partial application is already reverted and the graph
-// is back in its prior state. On success the caller scores the transformed
+// ApplyLog tentatively applies the candidate — sequencing edges, spill and
+// copy-spill payloads alike — recording every change in the reusable log.
+// On error the partial application is already reverted and the graph is
+// back in its prior state. On success the caller scores the transformed
 // graph and then calls log.Revert.
 func (c *Candidate) ApplyLog(g *dag.Graph, log *UndoLog) error {
-	if c.CopySpill != nil {
-		// Copy-spill rewrites an instruction's opcode in place, which the
-		// undo log cannot restore; clustered reductions run the full-clone
-		// evaluation path, so this is never reached in normal operation.
-		return fmt.Errorf("transform %s: copy-spill candidates have no undo; evaluate on a clone", c.Kind)
-	}
 	log.reset(g)
 	for _, e := range c.Edges {
 		if g.HasEdge(e[0], e[1]) {
@@ -217,45 +249,19 @@ func (c *Candidate) ApplyLog(g *dag.Graph, log *UndoLog) error {
 			return err
 		}
 	}
+	if c.CopySpill != nil {
+		if err := applyCopySpill(g, c.CopySpill, log); err != nil {
+			log.Revert()
+			return err
+		}
+	}
 	return nil
 }
 
 // SeqOnly reports whether the candidate is a pure sequentialization — it
 // only adds sequence edges, with no spill or copy-spill payload. Only such
-// candidates can be applied tentatively with ApplyUndo and remeasured
-// incrementally.
+// candidates can be remeasured incrementally from a closure delta.
 func (c *Candidate) SeqOnly() bool { return c.Spill == nil && c.CopySpill == nil }
-
-// ApplyUndo tentatively applies a sequencing-only candidate: it adds the
-// candidate's edges (skipping ones already present), returning the edges
-// actually added and an undo function that removes exactly those edges,
-// restoring the graph to its prior state. On a would-be cycle the partial
-// application is rolled back before the error returns, so the graph is
-// never left extended. Candidates with a spill payload are rejected — spill
-// insertion creates nodes and rewrites instructions in place, which has no
-// cheap inverse; tentative spills are evaluated on clones instead.
-func (c *Candidate) ApplyUndo(g *dag.Graph) (added [][2]int, undo func(), err error) {
-	if !c.SeqOnly() {
-		return nil, nil, fmt.Errorf("transform %s: spill candidates cannot be undone", c.Kind)
-	}
-	revert := func() {
-		for _, e := range added {
-			g.RemoveEdge(e[0], e[1])
-		}
-	}
-	for _, e := range c.Edges {
-		if g.HasEdge(e[0], e[1]) {
-			continue
-		}
-		if g.HasPath(e[1], e[0]) {
-			revert()
-			return nil, nil, fmt.Errorf("transform %s: edge %d->%d would create a cycle", c.Kind, e[0], e[1])
-		}
-		g.AddEdge(e[0], e[1], dag.EdgeSeq)
-		added = append(added, e)
-	}
-	return added, revert, nil
-}
 
 // Key returns a canonical identity for the transformation's effect: the
 // kind, the edge set in sorted order, and the spill target. Candidates with
@@ -346,13 +352,6 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 	class := f.ClassOf(sp.Reg)
 	slot := "spill." + name
 
-	addEdge := func(a, b int, kind dag.EdgeKind) {
-		g.AddEdge(a, b, kind)
-		if log != nil {
-			log.added = append(log.added, [2]int{a, b})
-		}
-	}
-
 	if g.LiveOut[sp.Reg] {
 		return fmt.Errorf("transform spill: %s is live-out", name)
 	}
@@ -372,15 +371,15 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 	st := g.AddInstr(&ir.Instr{Op: ir.SpillStore, Args: []ir.VReg{sp.Reg}, Sym: slot, Cluster: defNode.Instr.Cluster})
 	nv := f.NewReg(name+".r", class)
 	ld := g.AddInstr(&ir.Instr{Op: ir.SpillLoad, Dst: nv, Sym: slot, Cluster: defNode.Instr.Cluster})
-	addEdge(sp.Def, st, dag.EdgeData)
-	addEdge(st, ld, dag.EdgeMem)
+	log.addEdge(g, sp.Def, st, dag.EdgeData)
+	log.addEdge(g, st, ld, dag.EdgeMem)
 
 	// The reload waits for SD1 to finish.
 	for _, b := range sp.Barrier {
 		if b == ld || g.HasPath(ld, b) {
 			continue
 		}
-		addEdge(b, ld, dag.EdgeSeq)
+		log.addEdge(g, b, ld, dag.EdgeSeq)
 	}
 	// The store happens before SD1 starts, freeing the register. Roots
 	// that are ancestors of the definition cannot be sequenced after it.
@@ -388,7 +387,7 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 		if r == st || g.HasPath(r, sp.Def) || g.HasPath(r, st) {
 			continue
 		}
-		addEdge(st, r, dag.EdgeSeq)
+		log.addEdge(g, st, r, dag.EdgeSeq)
 	}
 
 	// Rewire every use that can legally wait for the reload.
@@ -412,14 +411,8 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 			}
 			in.Index = nv
 		}
-		if g.HasEdge(sp.Def, u) {
-			if log != nil {
-				kind, _ := g.EdgeKindOf(sp.Def, u)
-				log.removed = append(log.removed, removedEdge{a: sp.Def, b: u, kind: kind})
-			}
-			g.RemoveEdge(sp.Def, u)
-		}
-		addEdge(ld, u, dag.EdgeData)
+		log.removeEdge(g, sp.Def, u)
+		log.addEdge(g, ld, u, dag.EdgeData)
 		rewired++
 	}
 	if rewired == 0 {
@@ -435,7 +428,7 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 	}
 	// Keep the hammock property for the new nodes.
 	if len(g.Succs(ld)) == 0 {
-		addEdge(ld, g.Leaf, dag.EdgeSeq)
+		log.addEdge(g, ld, g.Leaf, dag.EdgeSeq)
 	}
 	return nil
 }
@@ -445,10 +438,11 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 // copy instruction itself is rewritten in place into the reload — same
 // destination register, same cluster, so every consumer edge survives
 // untouched. The one data edge from the source's definition to the copy is
-// replaced by def -> store -> load wiring. There is no log variant: the
-// opcode rewrite has no cheap inverse, so tentative copy-spills are always
-// evaluated on clones.
-func applyCopySpill(g *dag.Graph, sp *CopySpillSpec) error {
+// replaced by def -> store -> load wiring. With a log every change — the
+// removed edge, the added edges and the opcode rewrite — is recorded so
+// the caller can revert; the store node is new, so every AddEdge here adds
+// a genuinely new edge.
+func applyCopySpill(g *dag.Graph, sp *CopySpillSpec, log *UndoLog) error {
 	if sp.Copy < 0 || sp.Copy >= g.NumNodes() {
 		return fmt.Errorf("transform copy-spill: node %d out of range", sp.Copy)
 	}
@@ -466,17 +460,18 @@ func applyCopySpill(g *dag.Graph, sp *CopySpillSpec) error {
 	srcCluster := g.Nodes[def].Instr.Cluster
 
 	st := g.AddInstr(&ir.Instr{Op: ir.SpillStore, Args: []ir.VReg{src}, Sym: slot, Cluster: srcCluster})
+	if log != nil {
+		log.rewrite = opRewrite{in: in, op: in.Op, args: in.Args, sym: in.Sym}
+	}
 	in.Op = ir.SpillLoad
 	in.Args = nil
 	in.Sym = slot
 
-	if g.HasEdge(def, sp.Copy) {
-		g.RemoveEdge(def, sp.Copy)
-	}
-	g.AddEdge(def, st, dag.EdgeData)
-	g.AddEdge(st, sp.Copy, dag.EdgeMem)
+	log.removeEdge(g, def, sp.Copy)
+	log.addEdge(g, def, st, dag.EdgeData)
+	log.addEdge(g, st, sp.Copy, dag.EdgeMem)
 	if len(g.Succs(sp.Copy)) == 0 {
-		g.AddEdge(sp.Copy, g.Leaf, dag.EdgeSeq)
+		log.addEdge(g, sp.Copy, g.Leaf, dag.EdgeSeq)
 	}
 	return nil
 }

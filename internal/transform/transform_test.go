@@ -297,10 +297,10 @@ func TestSequencingNeverIncreasesWidth(t *testing.T) {
 	}
 }
 
-// TestApplyUndoRoundTrip: a tentative application adds exactly the missing
-// edges and its undo restores the graph fingerprint — the contract that
-// lets the evaluator reuse one scratch graph across many candidates.
-func TestApplyUndoRoundTrip(t *testing.T) {
+// TestApplyLogRoundTrip: a tentative application adds exactly the missing
+// edges and Revert restores the graph fingerprint — the contract that lets
+// the evaluator reuse one scratch graph across many candidates.
+func TestApplyLogRoundTrip(t *testing.T) {
 	g := paperGraph(t)
 	b, c := node(t, g, "w"), node(t, g, "x")
 	pre := [2]int{node(t, g, "v"), b} // already present: B depends on A's value
@@ -310,30 +310,31 @@ func TestApplyUndoRoundTrip(t *testing.T) {
 	cand := &Candidate{Kind: FUSequence, Edges: [][2]int{pre, {b, c}}, Note: "test"}
 
 	before := g.Fingerprint()
-	added, undo, err := cand.ApplyUndo(g)
-	if err != nil {
-		t.Fatalf("ApplyUndo: %v", err)
+	var log UndoLog
+	if err := cand.ApplyLog(g, &log); err != nil {
+		t.Fatalf("ApplyLog: %v", err)
 	}
-	if len(added) != 1 || added[0] != [2]int{b, c} {
+	if added := log.Added(); len(added) != 1 || added[0] != [2]int{b, c} {
 		t.Fatalf("added %v, want just %v (existing edge must be skipped)", added, [2]int{b, c})
 	}
 	if !g.HasEdge(b, c) {
 		t.Fatal("edge not applied")
 	}
-	undo()
+	log.Revert()
 	if g.Fingerprint() != before {
-		t.Fatal("undo did not restore the graph")
+		t.Fatal("Revert did not restore the graph")
 	}
 }
 
-// TestApplyUndoRollsBackOnCycle: when a later edge of the candidate would
+// TestApplyLogRollsBackOnCycle: when a later edge of the candidate would
 // close a cycle, the earlier edges are removed before the error returns.
-func TestApplyUndoRollsBackOnCycle(t *testing.T) {
+func TestApplyLogRollsBackOnCycle(t *testing.T) {
 	g := paperGraph(t)
 	b, c := node(t, g, "w"), node(t, g, "x")
 	cand := &Candidate{Kind: FUSequence, Edges: [][2]int{{b, c}, {c, b}}, Note: "cycle"}
 	before := g.Fingerprint()
-	if _, _, err := cand.ApplyUndo(g); err == nil {
+	var log UndoLog
+	if err := cand.ApplyLog(g, &log); err == nil {
 		t.Fatal("cycle accepted")
 	}
 	if g.Fingerprint() != before {
@@ -341,13 +342,53 @@ func TestApplyUndoRollsBackOnCycle(t *testing.T) {
 	}
 }
 
-// TestApplyUndoRejectsSpill: spills mutate instructions and create nodes,
-// so tentative application must refuse them.
-func TestApplyUndoRejectsSpill(t *testing.T) {
-	cand := &Candidate{Kind: Spill, Spill: &SpillSpec{Def: 0}}
+// TestApplyLogSpillRoundTrip: a logged spill matches Apply on a clone, and
+// Revert removes its nodes, register and operand rewrites again.
+func TestApplyLogSpillRoundTrip(t *testing.T) {
 	g := paperGraph(t)
-	if _, _, err := cand.ApplyUndo(g); err == nil {
-		t.Fatal("spill candidate accepted by ApplyUndo")
+	cand := &Candidate{Kind: Spill, Spill: &SpillSpec{
+		Reg:      g.Func.Reg("y"),
+		Def:      node(t, g, "y"),
+		Barrier:  []int{node(t, g, "t1"), node(t, g, "t2"), node(t, g, "t5")},
+		PreRoots: []int{node(t, g, "w"), node(t, g, "x")},
+	}}
+	ref := g.Clone()
+	ref.Func = g.Func.Clone()
+	if err := cand.Apply(ref); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	before, regs := g.Fingerprint(), g.Func.NumRegs()
+	var log UndoLog
+	if err := cand.ApplyLog(g, &log); err != nil {
+		t.Fatalf("ApplyLog: %v", err)
+	}
+	if g.Fingerprint() != ref.Fingerprint() {
+		t.Error("ApplyLog and Apply on a clone produced different graphs")
+	}
+	log.Revert()
+	if g.Fingerprint() != before || g.Func.NumRegs() != regs {
+		t.Error("Revert did not restore the graph")
+	}
+}
+
+// TestCopySpillRejectsNonCopy: a copy-spill aimed at a node that is not an
+// inter-cluster copy, or at no node at all, fails on both the commit and
+// the logged path and leaves the graph untouched.
+func TestCopySpillRejectsNonCopy(t *testing.T) {
+	g := paperGraph(t)
+	for _, n := range []int{node(t, g, "w"), g.Root, -1, g.NumNodes()} {
+		cand := &Candidate{Kind: CopySpill, CopySpill: &CopySpillSpec{Copy: n}}
+		before, nodes := g.Fingerprint(), g.NumNodes()
+		var log UndoLog
+		if err := cand.ApplyLog(g, &log); err == nil {
+			t.Errorf("ApplyLog accepted a copy-spill of node %d", n)
+		}
+		if err := cand.Apply(g); err == nil {
+			t.Errorf("Apply accepted a copy-spill of node %d", n)
+		}
+		if g.Fingerprint() != before || g.NumNodes() != nodes {
+			t.Fatalf("refused copy-spill of node %d changed the graph", n)
+		}
 	}
 }
 
