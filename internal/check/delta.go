@@ -1,12 +1,15 @@
 package check
 
 import (
+	"slices"
+
 	"ursa/internal/assign"
 	"ursa/internal/core"
 	"ursa/internal/dag"
 	"ursa/internal/machine"
 	"ursa/internal/measure"
 	"ursa/internal/order"
+	"ursa/internal/reuse"
 	"ursa/internal/sched"
 	"ursa/internal/transform"
 )
@@ -24,12 +27,13 @@ const deltaCandidateLimit = 16
 //     the closure maintained in place by order.Relation.AddClosureEdge must
 //     equal the closure recomputed from the transformed graph.
 //  2. Measurement: for every resource, the warm-started delta measurement
-//     (reuse.Reuse.UpdateClosure + measure.ChainsDelta, seeded with the
-//     committed matching and the pre-candidate hammock levels, exactly as
-//     the engine runs it) must report the same width and chain count as a
-//     full from-scratch Measure of the transformed graph, and its
-//     decomposition must be a valid chain partition of the updated order.
-//     When UpdateClosure declines (register kills shifted), the fallback
+//     (reuse.Reuse.UpdateClosureInto + measure.ChainsDeltaWidth, seeded
+//     with the committed matching and the pre-candidate hammock levels,
+//     through scratch reused across candidates and resources, exactly as an
+//     evaluator worker runs it) must report the width of a full
+//     from-scratch Measure of the transformed graph, and the updated
+//     relation and kill vector must equal a from-scratch rebuild's. When
+//     UpdateClosureInto declines (register kills shifted), the fallback
 //     must be justified: the recomputed kill vector must actually differ.
 //  3. Selection: a full core.Run with the engine enabled must emit code
 //     byte-identical to a run with Options.DisableIncremental (the
@@ -62,6 +66,7 @@ func checkDelta(rep *Report, c *Case) {
 	}
 
 	var log transform.UndoLog
+	var sc deltaScratch
 	applied := 0
 	for _, r := range resources {
 		res := base[r.Name]
@@ -100,7 +105,7 @@ func checkDelta(rep *Report, c *Case) {
 					applied++
 					rep.tick(OracleDelta)
 					if cand.SeqOnly() {
-						checkDeltaCandidate(rep, g, resources, base, baseReach, levels, cand, log.Added())
+						checkDeltaCandidate(rep, g, resources, base, baseReach, levels, cand, log.Added(), &sc)
 					} else {
 						checkCopySpillCandidate(rep, g, ref, resources, cand)
 					}
@@ -117,12 +122,20 @@ func checkDelta(rep *Report, c *Case) {
 	checkDeltaSelection(rep, g, m)
 }
 
+// deltaScratch is the oracle's counterpart of an evaluator worker's
+// measurement scratch, reused across every candidate and resource.
+type deltaScratch struct {
+	topo  dag.Scratch
+	kills reuse.KillScratch
+	delta measure.DeltaScratch
+}
+
 // checkDeltaCandidate compares, on the already-transformed graph g, the
 // incremental closure and per-resource delta measurements against their
 // from-scratch references.
 func checkDeltaCandidate(rep *Report, g *dag.Graph, resources []core.Resource,
 	base map[string]*measure.Result, baseReach *order.Relation, levels []int,
-	cand *transform.Candidate, added [][2]int) {
+	cand *transform.Candidate, added [][2]int, sc *deltaScratch) {
 
 	inc := baseReach.Clone()
 	for _, e := range added {
@@ -139,43 +152,43 @@ func checkDeltaCandidate(rep *Report, g *dag.Graph, resources []core.Resource,
 		}
 	}
 
+	depths := g.DepthsInto(&sc.topo)
 	for _, r := range resources {
 		prev := base[r.Name]
-		want := measure.Measure(r.Build(g))
-		ru, ok := prev.R.UpdateClosure(g, inc)
-		if !ok {
+		fresh := r.Build(g)
+		if r.IsRegister {
+			sc.kills.PrecomputeUses(g, prev.R.Items)
+		}
+		ru := reuse.Reuse{Rel: order.NewRelation(prev.R.NumItems())}
+		if !prev.R.UpdateClosureInto(g, inc, depths, &sc.kills, &ru) {
 			// The engine would fall back to a full rebuild here; the refusal
 			// must be justified by an actual kill shift.
-			fresh := r.Build(g)
-			same := len(fresh.Kill) == len(prev.R.Kill)
-			for i := 0; same && i < len(fresh.Kill); i++ {
-				same = fresh.Kill[i] == prev.R.Kill[i]
-			}
-			if same {
-				rep.failf(OracleDelta, "%s %s: UpdateClosure declined but kills are unchanged", r.Name, cand)
+			if slices.Equal(fresh.Kill, prev.R.Kill) {
+				rep.failf(OracleDelta, "%s %s: UpdateClosureInto declined but kills are unchanged", r.Name, cand)
 			}
 			continue
 		}
-		got := measure.ChainsDelta(prev, ru, levels)
-		if got.Width != want.Width {
-			rep.failf(OracleDelta, "%s %s: delta width %d, from-scratch %d",
-				r.Name, cand, got.Width, want.Width)
+		if got, want := measure.ChainsDeltaWidth(prev, &ru, levels, &sc.delta), measure.Measure(fresh).Width; got != want {
+			rep.failf(OracleDelta, "%s %s: delta width %d, from-scratch %d", r.Name, cand, got, want)
 			continue
 		}
-		if len(got.Chains) != len(want.Chains) {
-			rep.failf(OracleDelta, "%s %s: delta has %d chains, from-scratch %d",
-				r.Name, cand, len(got.Chains), len(want.Chains))
+		// The updated relation and kills must match a from-scratch rebuild.
+		if !slices.Equal(ru.Kill, fresh.Kill) {
+			rep.failf(OracleDelta, "%s %s: delta kills %v, rebuild %v", r.Name, cand, ru.Kill, fresh.Kill)
 			continue
 		}
-		if err := order.ValidateDecomposition(ru.Rel, got.Chains); err != nil {
-			rep.failf(OracleDelta, "%s %s: delta decomposition invalid: %v", r.Name, cand, err)
+		if ru.Rel.Size() != fresh.Rel.Size() {
+			rep.failf(OracleDelta, "%s %s: delta relation over %d items, rebuild %d",
+				r.Name, cand, ru.Rel.Size(), fresh.Rel.Size())
 			continue
 		}
-		// The updated relation itself must match a from-scratch rebuild.
-		fresh := r.Build(g)
-		if ru.Rel.Pairs() != fresh.Rel.Pairs() {
-			rep.failf(OracleDelta, "%s %s: delta relation has %d pairs, rebuild %d",
-				r.Name, cand, ru.Rel.Pairs(), fresh.Rel.Pairs())
+		for i := 0; i < fresh.Rel.Size(); i++ {
+			got, want := ru.Rel.Row(i), fresh.Rel.Row(i)
+			if !got.SubsetOf(want) || !want.SubsetOf(got) {
+				rep.failf(OracleDelta, "%s %s: delta relation row %d is %v, rebuild %v",
+					r.Name, cand, i, got, want)
+				break
+			}
 		}
 	}
 }

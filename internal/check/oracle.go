@@ -485,7 +485,7 @@ func checkExact(rep *Report, c *Case) {
 	if res.MinWordsProg > res.MinWords {
 		rep.failf(OracleExact, "program-model minimum %d exceeds strict-model minimum %d", res.MinWordsProg, res.MinWords)
 	}
-	cp, _ := g.CriticalPath(func(n *dag.Node) int { return m.LatencyOf(n.Instr.Op) })
+	cp := g.CriticalPath(func(n *dag.Node) int { return m.LatencyOf(n.Instr.Op) })
 	if res.MinWords < cp {
 		rep.failf(OracleExact, "minimum schedule length %d below critical path %d", res.MinWords, cp)
 	}

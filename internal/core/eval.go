@@ -53,19 +53,22 @@ type iterState struct {
 //     resource's reuse pairs into pooled relation storage
 //     (reuse.Reuse.UpdateClosureInto), and warm-start the matching from the
 //     committed measurement with a pooled matcher
-//     (measure.ChainsDeltaWidth). Per-cluster register files and
-//     exposed-datapath buffers are ordinary reuse item sets, so they take
-//     the same delta. Spill and copy-spill payloads — which add nodes and
-//     rewrite operands or opcodes, so no cheap delta exists — are measured
-//     from scratch through the cache and reverted via the same undo log. In
-//     steady state the path allocates nothing: graphs, closures, relations,
-//     matchers, and analysis buffers all reset in place across candidates
-//     and across reduction iterations.
+//     (measure.ChainsDeltaWidth); a register resource whose kill selection
+//     shifted is remeasured from scratch instead. Per-cluster register
+//     files and exposed-datapath buffers are ordinary reuse item sets, so
+//     they take the same delta. Spill and copy-spill payloads — which add
+//     nodes and rewrite operands or opcodes, so no cheap delta exists — are
+//     measured from scratch through the cache and reverted via the same
+//     undo log. On sequencing candidates the path allocates nothing in
+//     steady state: graphs, closures, relations, matchers, and analysis
+//     buffers all reset in place across candidates and across reduction
+//     iterations. The delta oracle in internal/check runs these same
+//     functions against from-scratch measurements on every fuzz case.
 //   - Options.DisableIncremental selects the pre-engine reference path:
 //     clone the graph per candidate, apply, re-measure everything from
-//     scratch. It is kept only as the reference the differential delta
-//     oracle in internal/check compares against on every fuzz case, and as
-//     the baseline of the full-path benchmarks.
+//     scratch. It is kept only as the reference that the delta oracle's
+//     selection check and TestFreshVsPooledEvaluator compare emitted code
+//     and picks against, and as the baseline of the full-path benchmarks.
 //
 // Both paths produce the same widths (a maximum matching is a maximum
 // matching however it is reached), so the selection is bit-identical across
@@ -442,7 +445,7 @@ func (e *evaluator) evalFull(s scored) evalOutcome {
 			excess += d
 		}
 	}
-	crit, _ := cl.CriticalPath(e.lat)
+	crit := cl.CriticalPath(e.lat)
 	return evalOutcome{s: s, ok: true, excess: excess, crit: crit}
 }
 

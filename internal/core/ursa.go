@@ -417,7 +417,7 @@ func runOnce(g *dag.Graph, opts Options, style scoreStyle) (*Report, error) {
 		FinalWidths:   map[string]int{},
 		Limits:        map[string]int{},
 	}
-	rep.CritBefore, _ = g.CriticalPath(lat)
+	rep.CritBefore = g.CriticalPath(lat)
 	for _, r := range resources {
 		rep.Limits[r.Name] = r.Limit
 	}
@@ -510,7 +510,7 @@ func runOnce(g *dag.Graph, opts Options, style scoreStyle) (*Report, error) {
 		rep.FinalWidths[name] = res.Width
 	}
 	rep.Fits = rep.TotalExcess() == 0
-	rep.CritAfter, _ = g.CriticalPath(lat)
+	rep.CritAfter = g.CriticalPath(lat)
 	tracef(opts.Trace, "ursa: final widths %v fits=%v crit %d -> %d",
 		rep.FinalWidths, rep.Fits, rep.CritBefore, rep.CritAfter)
 	return rep, nil

@@ -1,47 +1,12 @@
 package dag
 
-import (
-	"sort"
-
-	"ursa/internal/order"
-)
+import "ursa/internal/order"
 
 // TopoOrder returns the node ids in a deterministic topological order
 // (ties broken by node id).
 func (g *Graph) TopoOrder() []int {
-	n := len(g.Nodes)
-	indeg := make([]int, n)
-	for _, ss := range g.succ {
-		for _, b := range ss {
-			indeg[b]++
-		}
-	}
-	// Min-heap behaviour via sorted frontier keeps the order deterministic.
-	frontier := make([]int, 0, n)
-	for i, d := range indeg {
-		if d == 0 {
-			frontier = append(frontier, i)
-		}
-	}
-	sort.Ints(frontier)
-	out := make([]int, 0, n)
-	for len(frontier) > 0 {
-		a := frontier[0]
-		frontier = frontier[1:]
-		out = append(out, a)
-		added := false
-		for _, b := range g.succ[a] {
-			indeg[b]--
-			if indeg[b] == 0 {
-				frontier = append(frontier, b)
-				added = true
-			}
-		}
-		if added {
-			sort.Ints(frontier)
-		}
-	}
-	return out
+	var s Scratch
+	return g.TopoInto(&s)
 }
 
 // Reach returns the transitive closure of the graph's edges: Reach.Has(a,b)
@@ -53,39 +18,10 @@ func (g *Graph) Reach() *order.Relation {
 
 // CriticalPath returns the length of the longest root-to-leaf path where
 // each node contributes latency(node) cycles (pseudo nodes contribute 0
-// regardless), along with the path itself.
-func (g *Graph) CriticalPath(latency func(*Node) int) (int, []int) {
-	topo := g.TopoOrder()
-	dist := make([]int, len(g.Nodes))
-	prev := make([]int, len(g.Nodes))
-	for i := range prev {
-		prev[i] = -1
-		dist[i] = -1 << 30
-	}
-	dist[g.Root] = 0
-	for _, a := range topo {
-		if dist[a] == -1<<30 {
-			continue
-		}
-		la := 0
-		if !g.Nodes[a].IsPseudo() && latency != nil {
-			la = latency(g.Nodes[a])
-		}
-		for _, b := range g.succ[a] {
-			if dist[a]+la > dist[b] {
-				dist[b] = dist[a] + la
-				prev[b] = a
-			}
-		}
-	}
-	var path []int
-	for x := g.Leaf; x != -1; x = prev[x] {
-		path = append([]int{x}, path...)
-	}
-	if dist[g.Leaf] < 0 {
-		return 0, nil
-	}
-	return dist[g.Leaf], path
+// regardless).
+func (g *Graph) CriticalPath(latency func(*Node) int) int {
+	var s Scratch
+	return g.CriticalPathLen(latency, &s)
 }
 
 // UnitLatency assigns every instruction one cycle; the default critical-path
@@ -96,23 +32,8 @@ func UnitLatency(*Node) int { return 1 }
 // (longest path, unit weights). Used by the "closest to hammock entry"
 // heuristics of §4.
 func (g *Graph) Depths() []int {
-	topo := g.TopoOrder()
-	depth := make([]int, len(g.Nodes))
-	for i := range depth {
-		depth[i] = -1 << 30
-	}
-	depth[g.Root] = 0
-	for _, a := range topo {
-		if depth[a] == -1<<30 {
-			continue
-		}
-		for _, b := range g.succ[a] {
-			if depth[a]+1 > depth[b] {
-				depth[b] = depth[a] + 1
-			}
-		}
-	}
-	return depth
+	var s Scratch
+	return g.DepthsInto(&s)
 }
 
 // Heights returns, for each node, its longest distance to the leaf in edges.

@@ -94,8 +94,8 @@ entry:
 		t.Fatal(err)
 	}
 
-	critSSA, _ := gSSA.CriticalPath(UnitLatency)
-	critRA, _ := gRA.CriticalPath(UnitLatency)
+	critSSA := gSSA.CriticalPath(UnitLatency)
+	critRA := gRA.CriticalPath(UnitLatency)
 	if critRA <= critSSA {
 		t.Errorf("register reuse should lengthen the critical path: SSA %d, reused %d",
 			critSSA, critRA)

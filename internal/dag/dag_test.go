@@ -77,15 +77,8 @@ func TestBuildPaperExampleStructure(t *testing.T) {
 
 func TestCriticalPathPaper(t *testing.T) {
 	g := paperGraph(t)
-	length, path := g.CriticalPath(UnitLatency)
-	if length != 5 {
+	if length := g.CriticalPath(UnitLatency); length != 5 {
 		t.Errorf("critical path = %d, want 5 (A B E I K)", length)
-	}
-	if path[0] != g.Root || path[len(path)-1] != g.Leaf {
-		t.Errorf("path endpoints wrong: %v", path)
-	}
-	if len(path) != 7 { // root + 5 + leaf
-		t.Errorf("path length = %d nodes, want 7", len(path))
 	}
 }
 

@@ -2,12 +2,11 @@ package dag
 
 import "sort"
 
-// Scratch holds reusable buffers for the graph analyses the candidate
-// evaluator runs once per tentative transformation: topological orders,
-// critical-path lengths, and depths. One Scratch belongs to one worker;
-// results computed through it are bit-identical to the allocating
-// TopoOrder/CriticalPath/Depths equivalents, only the storage is reused.
-// The zero value is ready to use.
+// Scratch holds reusable buffers for the graph analyses: topological
+// orders, critical-path lengths, and depths. The candidate evaluator keeps
+// one per worker and runs these analyses through it once per tentative
+// transformation; TopoOrder, CriticalPath and Depths run them through a
+// fresh one. The zero value is ready to use.
 type Scratch struct {
 	indeg    []int
 	frontier []int
@@ -16,27 +15,32 @@ type Scratch struct {
 	depth    []int
 }
 
-// grow resizes every buffer to hold n nodes.
-func (s *Scratch) grow(n int) {
+// unreached is the longest-path sentinel for nodes the root does not reach.
+const unreached = -1 << 30
+
+// resetUnreached returns buf resized to n entries, all set to unreached.
+func resetUnreached(buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = unreached
+	}
+	return buf
+}
+
+// TopoInto computes the graph's deterministic topological order (ties
+// broken by node id) into the scratch's buffer. The result is valid until
+// the next call with the same scratch.
+func (g *Graph) TopoInto(s *Scratch) []int {
+	n := len(g.Nodes)
 	if cap(s.indeg) < n {
 		s.indeg = make([]int, n)
 		s.frontier = make([]int, 0, n)
 		s.topo = make([]int, 0, n)
-		s.dist = make([]int, n)
-		s.depth = make([]int, n)
 	}
-	s.indeg = s.indeg[:n]
-	s.dist = s.dist[:n]
-	s.depth = s.depth[:n]
-}
-
-// TopoInto computes the graph's deterministic topological order (the same
-// order TopoOrder returns: ties broken by node id) into the scratch's
-// buffer. The result is valid until the next call with the same scratch.
-func (g *Graph) TopoInto(s *Scratch) []int {
-	n := len(g.Nodes)
-	s.grow(n)
-	indeg := s.indeg
+	indeg := s.indeg[:n]
 	clear(indeg)
 	for _, ss := range g.succ {
 		for _, b := range ss {
@@ -71,17 +75,16 @@ func (g *Graph) TopoInto(s *Scratch) []int {
 	return out
 }
 
-// CriticalPathLen returns the same length CriticalPath computes, without
-// reconstructing the path and without allocating.
+// CriticalPathLen returns the length of the longest root-to-leaf path where
+// each node contributes latency(node) cycles (pseudo nodes contribute 0
+// regardless), using the scratch's buffers.
 func (g *Graph) CriticalPathLen(latency func(*Node) int, s *Scratch) int {
 	topo := g.TopoInto(s)
+	s.dist = resetUnreached(s.dist, len(g.Nodes))
 	dist := s.dist
-	for i := range dist {
-		dist[i] = -1 << 30
-	}
 	dist[g.Root] = 0
 	for _, a := range topo {
-		if dist[a] == -1<<30 {
+		if dist[a] == unreached {
 			continue
 		}
 		la := 0
@@ -100,18 +103,16 @@ func (g *Graph) CriticalPathLen(latency func(*Node) int, s *Scratch) int {
 	return dist[g.Leaf]
 }
 
-// DepthsInto computes the same longest-path-from-root depths Depths
-// returns, into the scratch's buffer. The result is valid until the next
-// call with the same scratch.
+// DepthsInto computes each node's longest distance from the root in edges
+// into the scratch's buffer. The result is valid until the next call with
+// the same scratch.
 func (g *Graph) DepthsInto(s *Scratch) []int {
 	topo := g.TopoInto(s)
+	s.depth = resetUnreached(s.depth, len(g.Nodes))
 	depth := s.depth
-	for i := range depth {
-		depth[i] = -1 << 30
-	}
 	depth[g.Root] = 0
 	for _, a := range topo {
-		if depth[a] == -1<<30 {
+		if depth[a] == unreached {
 			continue
 		}
 		for _, b := range g.succ[a] {

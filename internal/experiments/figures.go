@@ -34,7 +34,7 @@ func F2Measurement() (*Table, error) {
 	}
 	fuRes := measure.Measure(reuse.FU(g, reuse.AllFUs))
 	regRes := measure.Measure(reuse.Reg(g, ir.ClassInt))
-	crit, _ := g.CriticalPath(dag.UnitLatency)
+	crit := g.CriticalPath(dag.UnitLatency)
 
 	t := &Table{
 		ID:     "F2",

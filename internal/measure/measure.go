@@ -13,6 +13,7 @@ package measure
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ursa/internal/dag"
@@ -42,10 +43,12 @@ type relEdge struct {
 	prio int
 }
 
-// sortedEdges lists the reuse order's pairs sorted by (priority, a, b): the
-// canonical order in which the prioritized matcher consumes them.
-func sortedEdges(r *reuse.Reuse, levels []int) []relEdge {
-	var edges []relEdge
+// sortedEdgesInto lists the reuse order's pairs, appended to dst[:0],
+// sorted by (priority, a, b): the canonical order in which the prioritized
+// matcher consumes them. The key is a total order, so the sort is
+// deterministic.
+func sortedEdgesInto(dst []relEdge, r *reuse.Reuse, levels []int) []relEdge {
+	dst = dst[:0]
 	for a := 0; a < r.NumItems(); a++ {
 		r.Rel.Row(a).ForEach(func(b int) {
 			prio := 0
@@ -58,28 +61,26 @@ func sortedEdges(r *reuse.Reuse, levels []int) []relEdge {
 					prio = lb - la
 				}
 			}
-			edges = append(edges, relEdge{a, b, prio})
+			dst = append(dst, relEdge{a, b, prio})
 		})
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].prio != edges[j].prio {
-			return edges[i].prio < edges[j].prio
+	slices.SortFunc(dst, func(x, y relEdge) int {
+		if x.prio != y.prio {
+			return x.prio - y.prio
 		}
-		if edges[i].a != edges[j].a {
-			return edges[i].a < edges[j].a
+		if x.a != y.a {
+			return x.a - y.a
 		}
-		return edges[i].b < edges[j].b
+		return x.b - y.b
 	})
-	return edges
+	return dst
 }
 
-// Chains computes a minimum chain decomposition of the reuse order using
-// prioritized incremental matching. levels gives each graph node's hammock
-// nesting level (from dag.Graph.NestLevels); nil means no prioritization.
-func Chains(r *reuse.Reuse, levels []int) *Result {
-	n := r.NumItems()
-	edges := sortedEdges(r, levels)
-	m := matching.NewIncremental(n, n)
+// augmentBatches feeds priority-sorted edges to the matcher one priority
+// batch at a time, augmenting after each batch: the paper's prioritized
+// matching, under which the lower-priority (non-crossing) pairs are
+// matched first.
+func augmentBatches(m *matching.Incremental, edges []relEdge) {
 	for i := 0; i < len(edges); {
 		j := i
 		for j < len(edges) && edges[j].prio == edges[i].prio {
@@ -89,6 +90,15 @@ func Chains(r *reuse.Reuse, levels []int) *Result {
 		m.Augment()
 		i = j
 	}
+}
+
+// Chains computes a minimum chain decomposition of the reuse order using
+// prioritized incremental matching. levels gives each graph node's hammock
+// nesting level (from dag.Graph.NestLevels); nil means no prioritization.
+func Chains(r *reuse.Reuse, levels []int) *Result {
+	n := r.NumItems()
+	m := matching.NewIncremental(n, n)
+	augmentBatches(m, sortedEdgesInto(nil, r, levels))
 	return buildResult(r, m)
 }
 

@@ -1,8 +1,6 @@
 package measure
 
 import (
-	"slices"
-
 	"ursa/internal/matching"
 	"ursa/internal/reuse"
 )
@@ -16,39 +14,10 @@ type DeltaScratch struct {
 	pairs []int
 }
 
-// sortedEdgesInto is sortedEdges appending into a reused buffer, sorted with
-// the same (priority, a, b) key. The generic comparison avoids the
-// interface-boxing allocations of sort.Slice.
-func sortedEdgesInto(dst []relEdge, r *reuse.Reuse, levels []int) []relEdge {
-	dst = dst[:0]
-	for a := 0; a < r.NumItems(); a++ {
-		r.Rel.Row(a).ForEach(func(b int) {
-			prio := 0
-			if levels != nil {
-				la := levels[r.Items[a].Node]
-				lb := levels[r.Items[b].Node]
-				if la > lb {
-					prio = la - lb
-				} else {
-					prio = lb - la
-				}
-			}
-			dst = append(dst, relEdge{a, b, prio})
-		})
-	}
-	slices.SortFunc(dst, func(x, y relEdge) int {
-		if x.prio != y.prio {
-			return x.prio - y.prio
-		}
-		if x.a != y.a {
-			return x.a - y.a
-		}
-		return x.b - y.b
-	})
-	return dst
-}
-
-// pairsInto is pairsOf writing into a reused buffer.
+// pairsInto reconstructs, into a reused buffer, the left-to-right matching
+// pairs underlying a measured decomposition: consecutive chain elements x, y
+// mean x's resource instance is reused by y, i.e. left vertex x is matched
+// to right vertex y.
 func pairsInto(dst []int, prev *Result) []int {
 	n := len(prev.ChainOf)
 	if cap(dst) < n {
@@ -66,12 +35,21 @@ func pairsInto(dst []int, prev *Result) []int {
 	return dst
 }
 
-// ChainsDeltaWidth returns the width ChainsDelta would compute — the exact
-// from-scratch minimum chain count of r under the given hammock levels —
-// without building the decomposition and without allocating in steady state:
-// the matcher, edge list, and seed pairs all live in the scratch. This is the
-// candidate evaluator's scoring primitive; the decomposition itself is only
-// rebuilt (via ChainsDelta) for the one candidate that commits.
+// ChainsDeltaWidth returns the width of the minimum chain decomposition of
+// an updated reuse order — exactly the width Chains computes from scratch —
+// without building the decomposition and without allocating in steady
+// state: the matcher, edge list, and seed pairs all live in the scratch.
+// This is the candidate evaluator's scoring primitive.
+//
+// When prev measures the same item set under a subset of r's pairs — the
+// situation after sequencing edges are added to the graph, since reuse
+// orders only gain pairs (see reuse.Reuse.UpdateClosureInto) — the matcher
+// is warm-started: prev's maximum matching remains a valid matching over
+// the enlarged edge set, so it is reseeded verbatim and augmentation runs
+// only for the added edges, fed in the same prioritized batches as a cold
+// run. The width is exactly the from-scratch width, because
+// augmenting-path maximality does not depend on the starting matching. When
+// prev is nil or describes a different item set, the matching runs cold.
 func ChainsDeltaWidth(prev *Result, r *reuse.Reuse, levels []int, s *DeltaScratch) int {
 	n := r.NumItems()
 	s.edges = sortedEdgesInto(s.edges, r, levels)
@@ -83,46 +61,25 @@ func ChainsDeltaWidth(prev *Result, r *reuse.Reuse, levels []int, s *DeltaScratc
 	}
 	m := s.m
 
-	if prev == nil || prev.R == nil || prev.R.NumItems() != n {
-		// Full prioritized matching, pooled storage.
-		for i := 0; i < len(edges); {
-			j := i
-			for j < len(edges) && edges[j].prio == edges[i].prio {
-				m.AddEdge(edges[j].a, edges[j].b)
-				j++
+	if prev != nil && prev.R != nil && prev.R.NumItems() == n {
+		// Partition in place into surviving and fresh edges. The surviving
+		// edges go straight into the matcher (the seeded matching already
+		// covers them maximally); the fresh ones are compacted to the front
+		// of the buffer, preserving their priority order.
+		old := prev.R.Rel
+		nf := 0
+		for _, e := range edges {
+			if old.Has(e.a, e.b) {
+				m.AddEdge(e.a, e.b)
+			} else {
+				edges[nf] = e
+				nf++
 			}
-			m.Augment()
-			i = j
 		}
-		return n - m.Size()
+		edges = edges[:nf]
+		s.pairs = pairsInto(s.pairs, prev)
+		m.Seed(s.pairs)
 	}
-
-	// Warm start: partition in place into surviving and fresh edges. The
-	// surviving edges go straight into the matcher (the seeded matching
-	// already covers them maximally); the fresh ones are compacted to the
-	// front of the buffer, preserving their priority order.
-	old := prev.R.Rel
-	nf := 0
-	for _, e := range edges {
-		if old.Has(e.a, e.b) {
-			m.AddEdge(e.a, e.b)
-		} else {
-			edges[nf] = e
-			nf++
-		}
-	}
-	fresh := edges[:nf]
-	s.pairs = pairsInto(s.pairs, prev)
-	m.Seed(s.pairs)
-
-	for i := 0; i < len(fresh); {
-		j := i
-		for j < len(fresh) && fresh[j].prio == fresh[i].prio {
-			m.AddEdge(fresh[j].a, fresh[j].b)
-			j++
-		}
-		m.Augment()
-		i = j
-	}
+	augmentBatches(m, edges)
 	return n - m.Size()
 }

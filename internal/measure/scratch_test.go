@@ -10,11 +10,11 @@ import (
 	"ursa/internal/reuse"
 )
 
-// TestChainsDeltaWidthMatchesChainsDelta drives one reused scratch through
-// many random graphs — both the cold path (no previous result) and the
+// TestChainsDeltaWidthMatchesChains drives one reused scratch through many
+// random graphs — both the cold path (no previous result) and the
 // warm-start path seeded from a measurement of a random pair subset — and
-// requires the pooled width to equal the allocating implementations exactly.
-func TestChainsDeltaWidthMatchesChainsDelta(t *testing.T) {
+// requires the pooled width to equal the from-scratch Chains width exactly.
+func TestChainsDeltaWidthMatchesChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var s DeltaScratch
 	for trial := 0; trial < 60; trial++ {
@@ -44,12 +44,8 @@ func TestChainsDeltaWidthMatchesChainsDelta(t *testing.T) {
 			rsub := *r
 			rsub.Rel = sub
 			prev := Chains(&rsub, levels)
-			want := ChainsDelta(prev, r, levels)
-			if want.Width != full.Width {
-				t.Fatalf("trial %d: ChainsDelta width %d != full %d", trial, want.Width, full.Width)
-			}
-			if w := ChainsDeltaWidth(prev, r, levels, &s); w != want.Width {
-				t.Fatalf("trial %d: warm width %d != %d", trial, w, want.Width)
+			if w := ChainsDeltaWidth(prev, r, levels, &s); w != full.Width {
+				t.Fatalf("trial %d: warm width %d != %d", trial, w, full.Width)
 			}
 		}
 	}

@@ -50,7 +50,7 @@ type Reuse struct {
 	Kill []int
 	// IsReg records whether this is a register-class structure (built by
 	// Reg, with Class the register class) rather than a functional-unit
-	// structure (built by FU). UpdateClosure needs the distinction: FU
+	// structure (built by FU). UpdateClosureInto needs the distinction: FU
 	// orders follow reachability directly, register orders go through kill
 	// selection.
 	IsReg bool
@@ -89,18 +89,34 @@ func FU(g *dag.Graph, member func(*dag.Node) bool) *Reuse {
 		r.byNode[n.ID] = len(r.Items)
 		r.Items = append(r.Items, Item{Node: n.ID})
 	}
-	reach := g.Reach()
 	r.Rel = order.NewRelation(len(r.Items))
-	for i, a := range r.Items {
-		row := reach.Row(a.Node)
-		for j, b := range r.Items {
-			if i != j && row.Has(b.Node) {
-				r.Rel.Add(i, j)
+	fillRel(r.Rel, r.Items, nil, g.Reach())
+	r.Reduced = r.Rel.TransitiveReduction()
+	return r
+}
+
+// fillRel adds CanReuse_R's pairs over items to rel, derived from the node
+// reachability closure reach. For functional-unit items (kill nil), (a, b)
+// iff a's node reaches b's. For value items, (a, b) iff Kill(a) is b's
+// producer or reaches it; killed-at-leaf values (kill -1) relate to
+// nothing.
+func fillRel(rel *order.Relation, items []Item, kill []int, reach *order.Relation) {
+	for i, a := range items {
+		k := a.Node
+		if kill != nil {
+			k = kill[i]
+		}
+		if k < 0 {
+			continue
+		}
+		row := reach.Row(k)
+		for j, b := range items {
+			// For FU items k == b.Node only when i == j: one item per node.
+			if i != j && (k == b.Node || row.Has(b.Node)) {
+				rel.Add(i, j)
 			}
 		}
 	}
-	r.Reduced = r.Rel.TransitiveReduction()
-	return r
 }
 
 // AllFUs is the member predicate selecting every instruction: the paper's
@@ -186,24 +202,8 @@ func Values(g *dag.Graph, c ir.Class, include func(n *dag.Node) bool, liveIn fun
 
 	reach := g.Reach()
 	r.Kill = SelectKills(g, r.Items, reach)
-
-	// CanReuse_Reg: (a, b) iff Kill(a) == producer(b) or Kill(a) reaches
-	// producer(b). Killed-at-leaf values relate to nothing.
 	r.Rel = order.NewRelation(len(r.Items))
-	for i := range r.Items {
-		k := r.Kill[i]
-		if k < 0 {
-			continue
-		}
-		for j, b := range r.Items {
-			if i == j {
-				continue
-			}
-			if k == b.Node || reach.Has(k, b.Node) {
-				r.Rel.Add(i, j)
-			}
-		}
-	}
+	fillRel(r.Rel, r.Items, r.Kill, reach)
 	r.Reduced = r.Rel.TransitiveReduction()
 	return r
 }
@@ -217,76 +217,13 @@ func Values(g *dag.Graph, c ir.Class, include func(n *dag.Node) bool, liveIn fun
 // live with their ancestors (paper §3.2). Ties prefer deeper nodes, then
 // lower node ids, keeping results deterministic.
 func SelectKills(g *dag.Graph, items []Item, reach *order.Relation) []int {
-	kill := make([]int, len(items))
-	cands := make([][]int, len(items)) // per item: candidate killer nodes
-	candOf := make(map[int][]int)      // killer node -> item indices it can kill
-
+	ks := KillScratch{uses: make([][]int, len(items))}
 	for i, it := range items {
-		kill[i] = -1
-		if g.LiveOut[it.Reg] {
-			continue // dies at leaf by definition
-		}
-		uses := g.UseNodes(it.Reg)
-		var maximal []int
-		for _, u := range uses {
-			isMax := true
-			for _, w := range uses {
-				if w != u && reach.Has(u, w) {
-					isMax = false
-					break
-				}
-			}
-			if isMax {
-				maximal = append(maximal, u)
-			}
-		}
-		if len(maximal) == 0 {
-			continue // no uses: holds its register to the leaf
-		}
-		cands[i] = maximal
-		for _, u := range maximal {
-			candOf[u] = append(candOf[u], i)
+		if !g.LiveOut[it.Reg] {
+			ks.uses[i] = g.UseNodes(it.Reg)
 		}
 	}
-
-	depth := g.Depths()
-	remaining := make(map[int]bool)
-	for i := range items {
-		if len(cands[i]) > 0 {
-			remaining[i] = true
-		}
-	}
-	for len(remaining) > 0 {
-		// Pick the candidate killer covering the most remaining values.
-		best, bestCover := -1, -1
-		for u, is := range candOf {
-			cover := 0
-			for _, i := range is {
-				if remaining[i] {
-					cover++
-				}
-			}
-			if cover == 0 {
-				continue
-			}
-			if cover > bestCover ||
-				(cover == bestCover && (depth[u] > depth[best] ||
-					(depth[u] == depth[best] && u < best))) {
-				best, bestCover = u, cover
-			}
-		}
-		if best == -1 {
-			break
-		}
-		for _, i := range candOf[best] {
-			if remaining[i] {
-				kill[i] = best
-				delete(remaining, i)
-			}
-		}
-		delete(candOf, best)
-	}
-	return kill
+	return SelectKillsInto(g, items, reach, g.Depths(), &ks)
 }
 
 // Dot renders the Reuse DAG (the transitive reduction of CanReuse, Def. 4)

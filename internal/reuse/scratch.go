@@ -8,17 +8,16 @@ import (
 
 // KillScratch holds the reusable state behind SelectKillsInto and
 // UpdateClosureInto: per-value use lists precomputed once per reduction
-// iteration, plus the kill-selection working buffers that SelectKills would
-// otherwise allocate per candidate. One scratch belongs to one evaluator
-// worker; the zero value is ready to use.
+// iteration, plus the kill-selection working buffers. One scratch belongs
+// to one evaluator worker; the zero value is ready to use.
 type KillScratch struct {
 	// uses[i] lists the nodes reading item i's register, in id order —
-	// filled by PrecomputeUses. Sequencing edges never change uses, so one
+	// filled by PrecomputeUses (or, for one-shot SelectKills, from
+	// g.UseNodes). Sequencing edges never change uses, so one
 	// precomputation serves every seq candidate of an iteration.
 	uses [][]int
 
-	useArena []int   // backing storage for uses
-	byReg    [][]int // register -> use-node list, reused across calls
+	byReg [][]int // register -> use-node list, reused across calls
 
 	kill      []int
 	maximal   []int
@@ -71,14 +70,13 @@ func (ks *KillScratch) PrecomputeUses(g *dag.Graph, items []Item) {
 	}
 }
 
-// SelectKillsInto is SelectKills with every allocation hoisted into the
-// scratch: use lists come from PrecomputeUses, node depths from the caller
-// (depth must equal g.Depths() for the current graph), and the greedy
-// minimum cover runs over slice-backed candidate tables. The returned slice
-// is owned by the scratch — valid until the next call — and its contents are
-// identical to SelectKills' for the same inputs: the cover's
-// (cover, depth, node-id) selection key is a total order, so replacing map
-// iteration with slice iteration cannot change any pick.
+// SelectKillsInto runs the kill selection SelectKills documents with every
+// buffer in the scratch: use lists come from PrecomputeUses, node depths
+// from the caller (depth must equal g.Depths() for the current graph), and
+// the greedy minimum cover runs over slice-backed candidate tables. The cover's
+// (cover, depth, node-id) selection key is a total order, so every pick is
+// deterministic. The returned slice is owned by the scratch — valid until
+// the next call.
 func SelectKillsInto(g *dag.Graph, items []Item, reach *order.Relation, depth []int, ks *KillScratch) []int {
 	n := len(items)
 	ks.kill = growInts(ks.kill, n)
@@ -177,13 +175,28 @@ func SelectKillsInto(g *dag.Graph, items []Item, reach *order.Relation, depth []
 	return kill
 }
 
-// UpdateClosureInto is UpdateClosure writing into caller-owned storage: dst
-// receives the updated structure and dst.Rel must already hold a cleared
-// relation over len(r.Items) items (the evaluator keeps one per worker and
-// Resets it between candidates). depth must equal g.Depths() for the current
-// graph; the scratch must have PrecomputeUses run for this iteration's item
-// set. Reports false exactly when UpdateClosure would — the kill vector
-// shifted and the caller must fall back to a full rebuild.
+// UpdateClosureInto derives the reuse structure of the graph after
+// sequencing edges were added, given reach — the graph's updated
+// node-reachability closure, typically maintained in place via
+// order.Relation.AddClosureEdge. Sequencing adds no instructions and
+// removes no uses, so the item set is unchanged and CanReuse_R can only
+// gain pairs. dst receives the updated structure: it shares Items (and
+// Kill, for register resources) with r, and dst.Rel must already hold a
+// cleared relation over len(r.Items) items (the evaluator keeps one per
+// worker and Resets it between candidates). The transitive reduction is not
+// recomputed — it is needed only for rendering, never for measurement — so
+// dst.Reduced is nil and dst must not be fed to candidate generation or
+// Dot.
+//
+// For functional-unit resources the update always succeeds: CanReuse_FU is
+// reachability restricted to the items. For register resources the kill
+// selection is recomputed against the new closure first (depth must equal
+// g.Depths() for the current graph; the scratch must have PrecomputeUses
+// run for this item set). Added reachability can demote a use from maximal
+// or shift the greedy minimum cover, and when the kill vector changes the
+// old matching is no longer guaranteed to stay valid, so UpdateClosureInto
+// reports false and the caller must fall back to a full rebuild (the same
+// fallback spill candidates always take, since they restructure values).
 func (r *Reuse) UpdateClosureInto(g *dag.Graph, reach *order.Relation, depth []int, ks *KillScratch, dst *Reuse) bool {
 	if r.IsReg {
 		kill := SelectKillsInto(g, r.Items, reach, depth, ks)
@@ -204,29 +217,7 @@ func (r *Reuse) UpdateClosureInto(g *dag.Graph, reach *order.Relation, depth []i
 		Class:  r.Class,
 		byNode: r.byNode,
 	}
-	if r.IsReg {
-		for i := range r.Items {
-			k := r.Kill[i]
-			if k < 0 {
-				continue
-			}
-			row := reach.Row(k)
-			for j, b := range r.Items {
-				if i != j && (k == b.Node || row.Has(b.Node)) {
-					rel.Add(i, j)
-				}
-			}
-		}
-	} else {
-		for i, a := range r.Items {
-			row := reach.Row(a.Node)
-			for j, b := range r.Items {
-				if i != j && row.Has(b.Node) {
-					rel.Add(i, j)
-				}
-			}
-		}
-	}
+	fillRel(rel, r.Items, r.Kill, reach)
 	return true
 }
 
