@@ -3,14 +3,12 @@ package check
 import (
 	"slices"
 
-	"ursa/internal/assign"
 	"ursa/internal/core"
 	"ursa/internal/dag"
 	"ursa/internal/machine"
 	"ursa/internal/measure"
 	"ursa/internal/order"
 	"ursa/internal/reuse"
-	"ursa/internal/sched"
 	"ursa/internal/transform"
 )
 
@@ -241,8 +239,8 @@ func checkDeltaSelection(rep *Report, g *dag.Graph, m *machine.Config) {
 			return
 		}
 		code := ""
-		if prog, _, err := assign.Emit(cl, m, sched.Options{}); err == nil {
-			code = prog.String()
+		if runRep.Program != nil {
+			code = runRep.Program.String()
 		}
 		if i == 0 {
 			refCode, refIters = code, runRep.Iterations

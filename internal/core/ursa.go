@@ -285,6 +285,11 @@ type Report struct {
 	// needed no assignment-phase spill patching — the operational goal
 	// even when the worst-case widths (Fits) still exceed the machine.
 	ScheduleClean bool
+	// Program is the chosen option's emitted code, exactly what
+	// assign.Emit produces on the returned graph. It is nil when emission
+	// failed, and EmitErr says why.
+	Program *assign.Program
+	EmitErr error
 	// CritBefore/CritAfter are critical-path lengths under the machine's
 	// latencies.
 	CritBefore, CritAfter int
@@ -305,13 +310,15 @@ func (r *Report) TotalExcess() int {
 // Run executes URSA's allocation phase on the graph, mutating it, and
 // returns the report. The graph afterwards encodes, through its added
 // sequence edges and spill code, a program whose worst-case resource
-// demands (usually) fit the machine; assignment and code generation follow.
+// demands (usually) fit the machine. Run emits every option it considers
+// to rank it, so the report carries the chosen graph's program: callers
+// need not run assignment and code generation again.
 //
 // The transformation-selection heuristic is greedy, so a first attempt can
 // occasionally strand itself with residual excess; Run then retries from
-// the untransformed graph with the spill-first tie-break and keeps the
-// better outcome, before leaving any remaining excess to the assignment
-// phase (§2).
+// the untransformed graph with the aggressive and spill-first tie-breaks
+// and keeps the best outcome, before leaving any remaining excess to the
+// assignment phase (§2).
 func Run(g *dag.Graph, opts Options) (*Report, error) {
 	m := opts.Machine
 	if m == nil {
@@ -332,55 +339,59 @@ func Run(g *dag.Graph, opts Options) (*Report, error) {
 	}
 	var bestG *dag.Graph
 	var bestRep *Report
-	bestCost := -1
-	consider := func(cl *dag.Graph, rep *Report) {
-		cost := emittedCost(cl, m)
-		if bestRep == nil || cost < bestCost ||
-			(cost == bestCost && rep.Fits && !bestRep.Fits) {
-			bestG, bestRep, bestCost = cl, rep, cost
+	attempt := func(style scoreStyle, maxIters int) error {
+		cl := g.Clone()
+		o := opts
+		o.MaxIters = maxIters
+		rep, err := runOnce(cl, o, style)
+		if err != nil {
+			return err
 		}
+		rep.Program, _, rep.EmitErr = assign.Emit(cl, m, sched.Options{})
+		if bestRep == nil || betterOption(rep, bestRep) {
+			bestG, bestRep = cl, rep
+		}
+		return nil
 	}
 	// §1: "The allocation option that has the best overall effect can then
 	// be selected." The untransformed DAG is itself an option: when the
 	// list scheduler's own choice of schedule stays within the registers,
 	// the worst-case excess never materializes and transformation would
-	// only lengthen the schedule.
-	{
-		cl := g.Clone()
-		base := opts
-		base.MaxIters = -1
-		rep, err := runOnce(cl, base, styleDefault)
-		if err != nil {
-			return nil, err
-		}
-		consider(cl, rep)
+	// only lengthen the schedule. When it already fits, no reduction has
+	// anything to commit.
+	if err := attempt(styleDefault, -1); err != nil {
+		return nil, err
 	}
 	for _, style := range styles {
-		cl := g.Clone()
-		rep, err := runOnce(cl, opts, style)
-		if err != nil {
-			return nil, err
-		}
-		consider(cl, rep)
 		if bestRep.Fits {
 			break
 		}
+		if err := attempt(style, opts.MaxIters); err != nil {
+			return nil, err
+		}
 	}
 	g.ReplaceWith(bestG)
-	bestRep.ScheduleClean = bestCost&(1<<12-1) == 0
+	bestRep.ScheduleClean = bestRep.Program != nil && bestRep.Program.Spills == 0
 	return bestRep, nil
 }
 
-// emittedCost scores an allocation outcome by its overall effect: primarily
-// the length of the schedule the assignment phase would emit, then the
-// number of assignment-phase spill stores (memory traffic), encoded
-// lexicographically.
-func emittedCost(g *dag.Graph, m *machine.Config) int {
-	prog, _, err := assign.Emit(g, m, sched.Options{})
-	if err != nil {
-		return 1 << 30
+// betterOption reports whether allocation outcome a has a better overall
+// effect than b: primarily a shorter emitted schedule, then fewer
+// assignment-phase spill stores (memory traffic), then worst-case widths
+// that fit. An outcome that failed to emit loses to any that emitted.
+func betterOption(a, b *Report) bool {
+	if (a.Program == nil) != (b.Program == nil) {
+		return a.Program != nil
 	}
-	return len(prog.Words)<<12 | min(prog.Spills, 1<<12-1)
+	if a.Program != nil {
+		if la, lb := len(a.Program.Words), len(b.Program.Words); la != lb {
+			return la < lb
+		}
+		if a.Program.Spills != b.Program.Spills {
+			return a.Program.Spills < b.Program.Spills
+		}
+	}
+	return a.Fits && !b.Fits
 }
 
 // scoreStyle selects the tie-breaking order used when comparing candidate

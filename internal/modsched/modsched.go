@@ -19,12 +19,10 @@ package modsched
 import (
 	"fmt"
 
-	"ursa/internal/assign"
 	"ursa/internal/core"
 	"ursa/internal/dag"
 	"ursa/internal/ir"
 	"ursa/internal/machine"
-	"ursa/internal/sched"
 	"ursa/internal/target"
 )
 
@@ -225,13 +223,11 @@ func evalCandidate(f *ir.Func, l *Loop, B int, m *machine.Config) (words int, ok
 	if err != nil {
 		return 0, false
 	}
-	if _, err := core.Run(g, core.Options{Machine: m, DisableSpills: true}); err != nil {
+	rep, err := core.Run(g, core.Options{Machine: m, DisableSpills: true})
+	if err != nil || rep.Program == nil || rep.Program.Spills > 0 {
 		return 0, false
 	}
-	prog, _, err := assign.Emit(g, m, sched.Options{})
-	if err != nil || prog.Spills > 0 {
-		return 0, false
-	}
+	prog := rep.Program
 	for c, used := range prog.RegsUsed {
 		if used > m.Regs[c] {
 			return 0, false

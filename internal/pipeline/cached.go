@@ -35,28 +35,40 @@ type CachedFunc struct {
 // corrupt artifact, peer down, undecodable payload — degrades to a plain
 // CompileFunc. Compile errors are never cached.
 func CompileFuncCached(f *ir.Func, m *machine.Config, method Method, opts Options) (*CachedFunc, *Stats, error) {
-	if opts.Results == nil {
+	return compileCached(func() string { return CacheKey(f, m, method, opts) }, f, m, method, opts)
+}
+
+// compileCached compiles f behind the result cache under the key that
+// key derives; key runs only when opts.Results is set.
+func compileCached(key func() string, f *ir.Func, m *machine.Config, method Method, opts Options) (*CachedFunc, *Stats, error) {
+	var fresh *CachedFunc
+	var freshStats *Stats
+	compile := func(k string) error {
 		fp, st, err := CompileFunc(f, m, method, opts)
 		if err != nil {
+			return err
+		}
+		fresh = &CachedFunc{Key: k, Tier: store.TierNone, Artifact: artifactOf(f, fp, st), Prog: fp}
+		freshStats = st
+		return nil
+	}
+	if opts.Results == nil {
+		if err := compile(""); err != nil {
 			return nil, nil, err
 		}
-		return &CachedFunc{Tier: store.TierNone, Artifact: artifactOf(f, fp, st), Prog: fp}, st, nil
+		return fresh, freshStats, nil
 	}
 
-	key := CacheKey(f, m, method, opts)
+	k := key()
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var fresh *FuncProgram
-	var freshStats *Stats
-	data, tier, err := opts.Results.GetOrComputeCtx(ctx, key, func() ([]byte, error) {
-		fp, st, err := CompileFunc(f, m, method, opts)
-		if err != nil {
+	data, tier, err := opts.Results.GetOrComputeCtx(ctx, k, func() ([]byte, error) {
+		if err := compile(k); err != nil {
 			return nil, err
 		}
-		fresh, freshStats = fp, st
-		return artifactOf(f, fp, st).Encode()
+		return fresh.Artifact.Encode()
 	})
 	if err != nil {
 		return nil, nil, err
@@ -64,19 +76,18 @@ func CompileFuncCached(f *ir.Func, m *machine.Config, method Method, opts Option
 	if fresh != nil {
 		// This caller was the flight leader and compiled; hand back the
 		// in-memory program alongside the artifact it stored.
-		return &CachedFunc{Key: key, Tier: store.TierNone, Artifact: artifactOf(f, fresh, freshStats), Prog: fresh}, freshStats, nil
+		return fresh, freshStats, nil
 	}
 	art, derr := store.DecodeArtifact(data)
 	if derr != nil {
 		// The bytes were intact (integrity-checked by the store) but not
 		// an artifact we understand; compile as if the cache missed.
-		fp, st, err := CompileFunc(f, m, method, opts)
-		if err != nil {
+		if err := compile(k); err != nil {
 			return nil, nil, err
 		}
-		return &CachedFunc{Key: key, Tier: store.TierNone, Artifact: artifactOf(f, fp, st), Prog: fp}, st, nil
+		return fresh, freshStats, nil
 	}
-	return &CachedFunc{Key: key, Tier: tier, Artifact: art}, statsFromArtifact(art, method, m.Name), nil
+	return &CachedFunc{Key: k, Tier: tier, Artifact: art}, statsFromArtifact(art, method, m.Name), nil
 }
 
 // statsFromArtifact reconstructs the static pipeline statistics a warm

@@ -9,55 +9,6 @@ import (
 	"ursa/internal/workload"
 )
 
-// TestRunJobsCtxCancelStopsEarly: a cancelled context stops the batch
-// before any further job is dispatched; every undispatched job records
-// ctx.Err() and the batch error is ctx.Err().
-func TestRunJobsCtxCancelStopsEarly(t *testing.T) {
-	f := workload.PaperExample(true)
-	m := machine.VLIW(2, 3)
-	jobs := make([]Job, 8)
-	for i := range jobs {
-		jobs[i] = Job{Name: "j", Func: f, Machine: m, Method: URSA}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out, err := RunJobsCtx(ctx, jobs, 1)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("batch err = %v, want context.Canceled", err)
-	}
-	for i, r := range out {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Errorf("job %d err = %v, want context.Canceled", i, r.Err)
-		}
-		if r.Prog != nil || r.Stats != nil {
-			t.Errorf("job %d has results despite cancellation", i)
-		}
-	}
-}
-
-// TestRunJobsCtxLiveMatchesRunJobs: with a live context the ctx variant is
-// observably identical to RunJobs.
-func TestRunJobsCtxLiveMatchesRunJobs(t *testing.T) {
-	f := workload.PaperExample(true)
-	jobs := []Job{
-		{Name: "a", Func: f, Machine: machine.VLIW(2, 3), Method: URSA},
-		{Name: "b", Func: f, Machine: machine.VLIW(4, 8), Method: Prepass},
-	}
-	want, werr := RunJobs(jobs, 1)
-	got, gerr := RunJobsCtx(context.Background(), jobs, 1)
-	if (werr == nil) != (gerr == nil) {
-		t.Fatalf("errs differ: %v vs %v", werr, gerr)
-	}
-	for i := range want {
-		if (want[i].Err == nil) != (got[i].Err == nil) {
-			t.Fatalf("job %d errs differ: %v vs %v", i, want[i].Err, got[i].Err)
-		}
-		if want[i].Prog.Blocks[0].String() != got[i].Prog.Blocks[0].String() {
-			t.Errorf("job %d listings differ", i)
-		}
-	}
-}
-
 // TestCompileFuncCtxCancelled: a cancelled pipeline Options.Ctx aborts
 // multi-block compilation with ctx.Err().
 func TestCompileFuncCtxCancelled(t *testing.T) {
@@ -67,29 +18,5 @@ func TestCompileFuncCtxCancelled(t *testing.T) {
 	_, _, err := CompileFunc(f, machine.VLIW(2, 3), URSA, Options{Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("CompileFunc err = %v, want context.Canceled", err)
-	}
-}
-
-// TestRunJobsAllKeepsGoing: RunJobsAll attempts every job even after one
-// fails, unlike the fail-fast RunJobs.
-func TestRunJobsAllKeepsGoing(t *testing.T) {
-	good := workload.PaperExample(true)
-	jobs := []Job{
-		{Name: "bad", Func: good, Machine: machine.VLIW(2, 3), Method: Method(250)},
-		{Name: "good", Func: good, Machine: machine.VLIW(2, 3), Method: URSA},
-		{Name: "good2", Func: good, Machine: machine.VLIW(4, 8), Method: Prepass},
-	}
-	out, err := RunJobsAll(context.Background(), jobs, 1)
-	if err == nil {
-		t.Fatal("want batch error from the bad job")
-	}
-	if out[0].Err == nil {
-		t.Error("bad job has no error")
-	}
-	if out[1].Err != nil || out[2].Err != nil {
-		t.Errorf("good jobs skipped: %v, %v", out[1].Err, out[2].Err)
-	}
-	if out[1].Prog == nil || out[2].Prog == nil {
-		t.Error("good jobs missing programs")
 	}
 }

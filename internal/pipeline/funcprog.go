@@ -97,13 +97,26 @@ type FuncResult struct {
 // of init, chaining block exits, until a return, a fall-off-the-end, or the
 // cycle budget is exhausted.
 func (fp *FuncProgram) Run(init *ir.State, maxCycles int) (*FuncResult, error) {
+	return fp.run(vliwsim.Run, init, maxCycles)
+}
+
+// RunInOrder executes the compiled function like Run, but each block's
+// instructions issue in linear order on an in-order superscalar core with
+// interlocks (vliwsim.RunInOrder) rather than as VLIW words — the §6
+// superscalar target. The emitted *order* is what carries the scheduling
+// quality.
+func (fp *FuncProgram) RunInOrder(init *ir.State, maxCycles int) (*FuncResult, error) {
+	return fp.run(vliwsim.RunInOrder, init, maxCycles)
+}
+
+func (fp *FuncProgram) run(sim func(*assign.Program, *ir.State) (*vliwsim.Result, error), init *ir.State, maxCycles int) (*FuncResult, error) {
 	res := &FuncResult{State: init.Clone()}
 	cur := 0
 	for {
 		if cur >= len(fp.Blocks) {
 			return res, nil
 		}
-		r, err := vliwsim.Run(fp.Blocks[cur], res.State)
+		r, err := sim(fp.Blocks[cur], res.State)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: block %s: %w", fp.Source.Blocks[cur].Label, err)
 		}
@@ -130,32 +143,65 @@ func (fp *FuncProgram) Run(init *ir.State, maxCycles int) (*FuncResult, error) {
 	}
 }
 
+// Verify executes the compiled function from init — on the in-order
+// superscalar model when inOrder is set, as VLIW words otherwise — and
+// checks its non-spill memory against the sequential interpretation of
+// ref, the function the program implements (for loop-pipelined code, the
+// original unpipelined function). The interpreter's budget is generous
+// relative to maxCycles, since it executes one instruction per step.
+func (fp *FuncProgram) Verify(ref *ir.Func, init *ir.State, maxCycles int, inOrder bool) (*FuncResult, error) {
+	want := init.Clone()
+	if _, err := want.Run(ref, maxCycles*8+100_000); err != nil {
+		return nil, fmt.Errorf("reference interpretation: %w", err)
+	}
+	run := fp.Run
+	if inOrder {
+		run = fp.RunInOrder
+	}
+	res, err := run(init, maxCycles)
+	if err != nil {
+		return nil, fmt.Errorf("run: %w", err)
+	}
+	if err := compareMem(want, res.State); err != nil {
+		return nil, fmt.Errorf("verification: %w", err)
+	}
+	return res, nil
+}
+
+// RecordRun fills the dynamic statistics from a verified execution.
+// SpillOps keeps the static count of the emitted code.
+func (s *Stats) RecordRun(res *FuncResult) {
+	s.Verified = true
+	s.Cycles = res.Cycles
+	s.Issued = res.Issued
+	if res.Cycles > 0 {
+		s.Utilization = float64(res.Issued) / float64(res.Cycles)
+	}
+}
+
 // EvaluateFunc compiles and executes the whole function, verifies its
 // memory effects against the sequential interpreter, and returns dynamic
 // statistics.
 func EvaluateFunc(f *ir.Func, m *machine.Config, method Method, init *ir.State, maxCycles int, opts Options) (*Stats, error) {
+	return evaluateFunc(f, m, method, init, maxCycles, opts, false)
+}
+
+// EvaluateFuncInOrder is EvaluateFunc on the in-order superscalar model.
+func EvaluateFuncInOrder(f *ir.Func, m *machine.Config, method Method, init *ir.State, maxCycles int, opts Options) (*Stats, error) {
+	return evaluateFunc(f, m, method, init, maxCycles, opts, true)
+}
+
+func evaluateFunc(f *ir.Func, m *machine.Config, method Method, init *ir.State, maxCycles int, opts Options, inOrder bool) (*Stats, error) {
 	fp, st, err := CompileFunc(f, m, method, opts)
 	if err != nil {
 		return nil, err
 	}
-	ref := init.Clone()
-	if _, err := ref.Run(f, maxCycles*8+100000); err != nil {
-		return nil, fmt.Errorf("pipeline: reference: %w", err)
-	}
-	res, err := fp.Run(init, maxCycles)
+	res, err := fp.Verify(f, init, maxCycles, inOrder)
 	if err != nil {
-		return nil, err
-	}
-	if err := compareMem(ref, res.State); err != nil {
 		return nil, fmt.Errorf("pipeline %s on %s: %w", method, m.Name, err)
 	}
-	st.Verified = true
-	st.Cycles = res.Cycles
-	st.Issued = res.Issued
+	st.RecordRun(res)
 	st.SpillOps = res.SpillOps // dynamic counts replace static ones
-	if res.Cycles > 0 {
-		st.Utilization = float64(res.Issued) / float64(res.Cycles)
-	}
 	return st, nil
 }
 
@@ -180,71 +226,4 @@ func compareMem(ref, got *ir.State) error {
 		}
 	}
 	return nil
-}
-
-// RunInOrder executes the compiled function like Run, but each block's
-// instructions issue in linear order on an in-order superscalar core with
-// interlocks (vliwsim.RunInOrder) rather than as VLIW words — the §6
-// superscalar target. The emitted *order* is what carries the scheduling
-// quality.
-func (fp *FuncProgram) RunInOrder(init *ir.State, maxCycles int) (*FuncResult, error) {
-	res := &FuncResult{State: init.Clone()}
-	cur := 0
-	for {
-		if cur >= len(fp.Blocks) {
-			return res, nil
-		}
-		r, err := vliwsim.RunInOrder(fp.Blocks[cur], res.State)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: block %s: %w", fp.Source.Blocks[cur].Label, err)
-		}
-		res.State = r.State
-		res.Cycles += r.Cycles
-		res.Issued += r.Issued
-		res.SpillOps += r.SpillOps
-		res.BlockXct++
-		if res.Cycles > maxCycles {
-			return nil, fmt.Errorf("pipeline: cycle budget exceeded (%d)", maxCycles)
-		}
-		switch r.Exit {
-		case "ret":
-			return res, nil
-		case "":
-			cur++
-		default:
-			next, ok := fp.labels[r.Exit]
-			if !ok {
-				return nil, fmt.Errorf("pipeline: exit to unknown label %q", r.Exit)
-			}
-			cur = next
-		}
-	}
-}
-
-// EvaluateFuncInOrder compiles with the selected pipeline and executes on
-// the in-order superscalar model, verifying memory against the interpreter.
-func EvaluateFuncInOrder(f *ir.Func, m *machine.Config, method Method, init *ir.State, maxCycles int, opts Options) (*Stats, error) {
-	fp, st, err := CompileFunc(f, m, method, opts)
-	if err != nil {
-		return nil, err
-	}
-	ref := init.Clone()
-	if _, err := ref.Run(f, maxCycles*8+100000); err != nil {
-		return nil, fmt.Errorf("pipeline: reference: %w", err)
-	}
-	res, err := fp.RunInOrder(init, maxCycles)
-	if err != nil {
-		return nil, err
-	}
-	if err := compareMem(ref, res.State); err != nil {
-		return nil, fmt.Errorf("pipeline %s (in-order) on %s: %w", method, m.Name, err)
-	}
-	st.Verified = true
-	st.Cycles = res.Cycles
-	st.Issued = res.Issued
-	st.SpillOps = res.SpillOps
-	if res.Cycles > 0 {
-		st.Utilization = float64(res.Issued) / float64(res.Cycles)
-	}
-	return st, nil
 }

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"fmt"
 
 	"ursa/internal/driver"
@@ -34,14 +33,11 @@ type Job struct {
 }
 
 // A JobResult carries one job's outputs. Prog is set for compile-only
-// jobs unless the result was served from the artifact cache; Cached is
-// set (with listings and the serving tier) whenever the job ran through
-// the compile-result cache; Stats is always set on success.
+// jobs; Stats is always set on success.
 type JobResult struct {
-	Prog   *FuncProgram
-	Cached *CachedFunc
-	Stats  *Stats
-	Err    error
+	Prog  *FuncProgram
+	Stats *Stats
+	Err   error
 }
 
 // RunJobs runs a batch of jobs across `workers` goroutines (0 or negative
@@ -53,64 +49,27 @@ type JobResult struct {
 //
 // Every observable output is independent of the worker count.
 func RunJobs(jobs []Job, workers int) ([]JobResult, error) {
-	return RunJobsCtx(context.Background(), jobs, workers)
-}
-
-// RunJobsCtx is RunJobs under a context: once ctx is done no further jobs
-// are dispatched (running jobs finish and their results are kept), each
-// undispatched job records ctx.Err() in its Err field, and the batch error
-// is ctx.Err(). The context also threads into each job's per-block
-// compilation, so a cancelled batch stops between blocks of a multi-block
-// function too. Cancellation is cooperative: a block already inside the
-// allocator runs to completion.
-func RunJobsCtx(ctx context.Context, jobs []Job, workers int) ([]JobResult, error) {
-	return runJobs(ctx, jobs, workers, false)
-}
-
-// RunJobsAll is RunJobsCtx without fail-fast: every job runs even after
-// one fails (driver.Options.KeepGoing), so a batch service reports each
-// job's own outcome instead of skipping the rest. Cancellation still stops
-// dispatch.
-func RunJobsAll(ctx context.Context, jobs []Job, workers int) ([]JobResult, error) {
-	return runJobs(ctx, jobs, workers, true)
-}
-
-func runJobs(ctx context.Context, jobs []Job, workers int, keepGoing bool) ([]JobResult, error) {
 	out := make([]JobResult, len(jobs))
 	_, errs, err := driver.Map(len(jobs), func(i int) (struct{}, error) {
 		j := &jobs[i]
-		opts := j.Opts
-		if opts.Ctx == nil {
-			opts.Ctx = ctx
+		max := j.MaxCycles
+		if max == 0 {
+			max = 50_000_000
 		}
 		var err error
-		if j.Init == nil {
-			if opts.Results != nil {
-				var cf *CachedFunc
-				cf, out[i].Stats, err = CompileFuncCached(j.Func, j.Machine, j.Method, opts)
-				if cf != nil {
-					out[i].Cached = cf
-					out[i].Prog = cf.Prog
-				}
-			} else {
-				out[i].Prog, out[i].Stats, err = CompileFunc(j.Func, j.Machine, j.Method, opts)
-			}
-		} else {
-			max := j.MaxCycles
-			if max == 0 {
-				max = 50_000_000
-			}
-			if j.InOrder {
-				out[i].Stats, err = EvaluateFuncInOrder(j.Func, j.Machine, j.Method, j.Init, max, opts)
-			} else {
-				out[i].Stats, err = EvaluateFunc(j.Func, j.Machine, j.Method, j.Init, max, opts)
-			}
+		switch {
+		case j.Init == nil:
+			out[i].Prog, out[i].Stats, err = CompileFunc(j.Func, j.Machine, j.Method, j.Opts)
+		case j.InOrder:
+			out[i].Stats, err = EvaluateFuncInOrder(j.Func, j.Machine, j.Method, j.Init, max, j.Opts)
+		default:
+			out[i].Stats, err = EvaluateFunc(j.Func, j.Machine, j.Method, j.Init, max, j.Opts)
 		}
 		if err != nil && j.Name != "" {
 			err = fmt.Errorf("%s: %w", j.Name, err)
 		}
 		return struct{}{}, err
-	}, driver.Options{Workers: workers, Ctx: ctx, KeepGoing: keepGoing})
+	}, driver.Options{Workers: workers})
 	for i := range errs {
 		out[i].Err = errs[i]
 	}

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,7 +8,6 @@ import (
 	"ursa/internal/ir"
 	"ursa/internal/machine"
 	"ursa/internal/modsched"
-	"ursa/internal/store"
 )
 
 // CompileLoopFunc is the loop-centric pipeline entry: it software-pipelines
@@ -48,51 +46,18 @@ func LoopCacheKey(f *ir.Func, m *machine.Config, method Method, opts Options) st
 const loopKeyDomain = "modsched-loop-v1"
 
 // CompileLoopCached is CompileLoopFunc behind the tiered compile-result
-// cache, mirroring CompileFuncCached. The modulo-scheduling transform runs
-// on every call (its report — II, MII, unroll — is part of the response
-// even on a warm hit); the per-block compilation of the transformed
-// function is what the cache absorbs.
+// cache, mirroring CompileFuncCached under LoopCacheKey. The
+// modulo-scheduling transform runs on every call (its report — II, MII,
+// unroll — is part of the response even on a warm hit); the per-block
+// compilation of the transformed function is what the cache absorbs.
 func CompileLoopCached(f *ir.Func, m *machine.Config, method Method, opts Options) (*CachedFunc, *Stats, *modsched.Result, error) {
 	ms, err := modsched.Pipeline(f, m, modsched.Options{})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if opts.Results == nil {
-		fp, st, err := CompileFunc(ms.Func, m, method, opts)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return &CachedFunc{Tier: store.TierNone, Artifact: artifactOf(ms.Func, fp, st), Prog: fp}, st, ms, nil
-	}
-
-	key := LoopCacheKey(f, m, method, opts)
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var fresh *FuncProgram
-	var freshStats *Stats
-	data, tier, err := opts.Results.GetOrComputeCtx(ctx, key, func() ([]byte, error) {
-		fp, st, err := CompileFunc(ms.Func, m, method, opts)
-		if err != nil {
-			return nil, err
-		}
-		fresh, freshStats = fp, st
-		return artifactOf(ms.Func, fp, st).Encode()
-	})
+	cf, st, err := compileCached(func() string { return LoopCacheKey(f, m, method, opts) }, ms.Func, m, method, opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if fresh != nil {
-		return &CachedFunc{Key: key, Tier: store.TierNone, Artifact: artifactOf(ms.Func, fresh, freshStats), Prog: fresh}, freshStats, ms, nil
-	}
-	art, derr := store.DecodeArtifact(data)
-	if derr != nil {
-		fp, st, err := CompileFunc(ms.Func, m, method, opts)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return &CachedFunc{Key: key, Tier: store.TierNone, Artifact: artifactOf(ms.Func, fp, st), Prog: fp}, st, ms, nil
-	}
-	return &CachedFunc{Key: key, Tier: tier, Artifact: art}, statsFromArtifact(art, method, m.Name), ms, nil
+	return cf, st, ms, nil
 }

@@ -182,9 +182,8 @@ func Compile(b *ir.Block, m *machine.Config, method Method, opts Options) (*assi
 		}
 		st.URSATransforms = rep.Iterations
 		st.URSAFits = rep.Fits
-		prog, _, err = assign.Emit(g, m, sched.Options{})
-		if err != nil {
-			return nil, nil, err
+		if prog = rep.Program; prog == nil {
+			return nil, nil, rep.EmitErr
 		}
 
 	case Prepass:

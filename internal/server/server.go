@@ -486,12 +486,30 @@ func (s *Server) shed(w http.ResponseWriter) {
 			s.cfg.MaxConcurrent, s.queued.Load(), sec))
 }
 
-// compileOne runs one request through the pipeline: parse, compile,
-// optionally execute and verify, and assemble the response.
+// compileOne is POST /v1/compile's body: compile's response wrapped in
+// the per-request envelope — elapsed time, the measurement-cache delta,
+// and the artifact-tier totals. Those vary with concurrency, so batch
+// results carry compile's response without them.
 func (s *Server) compileOne(ctx context.Context, cr *CompileRequest) (*CompileResponse, error) {
 	start := time.Now()
 	hits0, misses0 := s.cache.Stats()
+	resp, err := s.compile(ctx, cr)
+	if err != nil {
+		return nil, err
+	}
+	hits1, misses1 := s.cache.Stats()
+	resp.Cache.Hits, resp.Cache.Misses = hits1-hits0, misses1-misses0
+	if s.artifacts != nil {
+		resp.Cache.Artifacts = s.artifactStats()
+	}
+	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+	return resp, nil
+}
 
+// compile runs one request through the pipeline: parse, compile through
+// the result cache, optionally execute and verify, optionally measure the
+// gap to the exact solver, and assemble the response.
+func (s *Server) compile(ctx context.Context, cr *CompileRequest) (*CompileResponse, error) {
 	f, isPaper, err := cr.load()
 	if err != nil {
 		return nil, badRequest("parse: %v", err)
@@ -552,33 +570,40 @@ func (s *Server) compileOne(ctx context.Context, cr *CompileRequest) (*CompileRe
 	}
 
 	if cr.Run {
-		run, verified, err := s.execute(cr, f, cf.Prog, isPaper)
+		init := cr.Init.state()
+		if cr.Init == nil && isPaper {
+			init = workload.PaperInit()
+		}
+		maxCycles := cr.MaxCycles
+		if maxCycles <= 0 {
+			maxCycles = 10_000_000
+		}
+		// Loop requests verify the pipelined code against the original,
+		// unpipelined function.
+		res, err := cf.Prog.Verify(f, init, maxCycles, cr.InOrder)
 		if err != nil {
 			s.mCompileErr.With(method.String()).Inc()
 			return nil, err
 		}
-		st.Verified = verified
-		st.Cycles = run.Cycles
-		st.Issued = run.Issued
-		if run.Cycles > 0 {
-			st.Utilization = float64(run.Issued) / float64(run.Cycles)
+		st.RecordRun(res)
+		resp.Run = &RunJSON{
+			Cycles:   res.Cycles,
+			Issued:   res.Issued,
+			SpillOps: res.SpillOps,
+			Blocks:   res.BlockXct,
+			Mem:      memCells(res.State),
 		}
-		resp.Run = run
 	}
 	resp.Stats = statsJSON(st)
 	if cr.Gap {
 		resp.Gap = s.gapReport(ctx, f, m, st)
 	}
 
-	hits1, misses1 := s.cache.Stats()
-	resp.Cache = CacheDelta{Hits: hits1 - hits0, Misses: misses1 - misses0}
 	if s.artifacts != nil {
 		resp.Cache.Result = tierLabel(cf.Tier)
 		resp.Cache.Key = cf.Key
-		resp.Cache.Artifacts = s.artifactStats()
 	}
 	s.mServedBy.With(tierLabel(cf.Tier)).Inc()
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	s.mCompileOK.With(method.String()).Inc()
 	return resp, nil
 }
@@ -629,16 +654,6 @@ func (s *Server) gapReport(ctx context.Context, f *ir.Func, m *machine.Config, s
 	return gap
 }
 
-// listings renders every compiled block byte-identically to an in-process
-// assign.Program.String().
-func listings(f *ir.Func, fp *pipeline.FuncProgram) []BlockListing {
-	out := make([]BlockListing, len(fp.Blocks))
-	for i, prog := range fp.Blocks {
-		out[i] = BlockListing{Label: f.Blocks[i].Label, Listing: prog.String()}
-	}
-	return out
-}
-
 // artifactListings renders the compiled blocks byte-identically to an
 // in-process assign.Program.String() — artifacts store exactly that, so
 // cold, disk-warm, and peer-served responses carry identical bytes.
@@ -662,68 +677,6 @@ func (s *Server) measureCacheJSON() *MeasureCacheJSON {
 		Evictions: s.cache.Evictions(),
 		Coalesced: s.cache.Coalesced(),
 	}
-}
-
-// execute runs the compiled function on the simulator and verifies its
-// memory effects against the sequential interpreter.
-func (s *Server) execute(cr *CompileRequest, f *ir.Func, fp *pipeline.FuncProgram, isPaper bool) (*RunJSON, bool, error) {
-	init := cr.Init.state()
-	if cr.Init == nil && isPaper {
-		init = workload.PaperInit()
-	}
-	maxCycles := cr.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = 10_000_000
-	}
-
-	ref := init.Clone()
-	if _, err := ref.Run(f, maxCycles*8+100_000); err != nil {
-		return nil, false, fmt.Errorf("reference interpretation: %w", err)
-	}
-
-	var res *pipeline.FuncResult
-	var err error
-	if cr.InOrder {
-		res, err = fp.RunInOrder(init, maxCycles)
-	} else {
-		res, err = fp.Run(init, maxCycles)
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("run: %w", err)
-	}
-	if err := verifyMem(ref, res.State); err != nil {
-		return nil, false, fmt.Errorf("verification: %w", err)
-	}
-	return &RunJSON{
-		Cycles:   res.Cycles,
-		Issued:   res.Issued,
-		SpillOps: res.SpillOps,
-		Blocks:   res.BlockXct,
-		Mem:      memCells(res.State),
-	}, true, nil
-}
-
-// verifyMem compares the non-spill memory of the compiled execution
-// against the interpreter's (the pipeline packages' verification rule).
-func verifyMem(ref, got *ir.State) error {
-	isSpill := func(sym string) bool { return len(sym) >= 5 && sym[:5] == "spill" }
-	for addr, want := range ref.Mem {
-		if isSpill(addr.Sym) {
-			continue
-		}
-		if g := got.Mem[addr]; g != want {
-			return fmt.Errorf("mem %s[%d] = %d, want %d", addr.Sym, addr.Off, g.Int(), want.Int())
-		}
-	}
-	for addr, g := range got.Mem {
-		if isSpill(addr.Sym) {
-			continue
-		}
-		if want := ref.Mem[addr]; g != want {
-			return fmt.Errorf("mem %s[%d] = %d, want %d", addr.Sym, addr.Off, g.Int(), want.Int())
-		}
-	}
-	return nil
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -768,106 +721,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// runBatch fans the batch over pipeline.RunJobsAll. Jobs that fail to
-// parse or resolve report their error in place without consuming a driver
-// slot; the rest compile in parallel, each against the shared cache.
+// runBatch runs every job through compile on the parallel driver. Each
+// result is exactly the job's /v1/compile body without the per-request
+// envelope; one failed job never skips the rest.
 func (s *Server) runBatch(ctx context.Context, br *BatchRequest) (*BatchResponse, error) {
 	start := time.Now()
 	hits0, misses0 := s.cache.Stats()
 
-	results := make([]BatchResult, len(br.Jobs))
-	type prepared struct {
-		req    *CompileRequest
-		f      *ir.Func
-		method pipeline.Method
-	}
-	var jobs []pipeline.Job
-	var backRef []int // job index -> request index
-	var preps []prepared
-
-	for i := range br.Jobs {
-		cr := &br.Jobs[i]
-		f, isPaper, err := cr.load()
-		if err != nil {
-			results[i] = BatchResult{Error: fmt.Sprintf("parse: %v", err)}
-			continue
-		}
-		method, err := cr.method()
-		if err != nil {
-			results[i] = BatchResult{Error: err.Error()}
-			continue
-		}
-		m, err := cr.Machine.resolve()
-		if err != nil {
-			results[i] = BatchResult{Error: fmt.Sprintf("machine: %v", err)}
-			continue
-		}
-		opts := pipeline.Options{Optimize: cr.Optimize, Workers: cr.Workers}
-		opts.Core.Cache = s.cache
-		if !cr.Run {
-			opts.Results = s.artifacts
-		}
-		job := pipeline.Job{
-			Name:    cr.Name,
-			Func:    f,
-			Machine: m,
-			Method:  method,
-			Opts:    opts,
-		}
-		if cr.Run {
-			init := cr.Init.state()
-			if cr.Init == nil && isPaper {
-				init = workload.PaperInit()
-			}
-			job.Init = init
-			job.MaxCycles = cr.MaxCycles
-			job.InOrder = cr.InOrder
-		}
-		jobs = append(jobs, job)
-		backRef = append(backRef, i)
-		preps = append(preps, prepared{req: cr, f: f, method: method})
-	}
-
-	outs, _ := pipeline.RunJobsAll(ctx, jobs, br.Workers)
+	resps, errs, _ := driver.Map(len(br.Jobs), func(i int) (*CompileResponse, error) {
+		return s.compile(ctx, &br.Jobs[i])
+	}, driver.Options{Workers: br.Workers, Ctx: ctx, KeepGoing: true})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for j, out := range outs {
-		i := backRef[j]
-		if out.Err != nil {
-			s.mCompileErr.With(preps[j].method.String()).Inc()
-			results[i] = BatchResult{Error: out.Err.Error()}
-			continue
-		}
-		s.mCompileOK.With(preps[j].method.String()).Inc()
-		resp := &CompileResponse{
-			Name:    preps[j].req.Name,
-			Method:  preps[j].method.String(),
-			Machine: jobs[j].Machine.Name,
-			Stats:   statsJSON(out.Stats),
-		}
-		switch {
-		case out.Cached != nil:
-			resp.Blocks = artifactListings(out.Cached.Artifact)
-			if s.artifacts != nil {
-				resp.Cache.Result = tierLabel(out.Cached.Tier)
-				resp.Cache.Key = out.Cached.Key
-			}
-			s.mServedBy.With(tierLabel(out.Cached.Tier)).Inc()
-		case out.Prog != nil:
-			resp.Blocks = listings(preps[j].f, out.Prog)
-		}
-		if preps[j].req.Gap {
-			resp.Gap = s.gapReport(ctx, preps[j].f, jobs[j].Machine, out.Stats)
-		}
-		results[i] = BatchResult{CompileResponse: resp}
-	}
-
+	results := make([]BatchResult, len(br.Jobs))
 	nerr := 0
 	for i := range results {
-		if results[i].Error != "" {
+		if errs[i] != nil {
+			results[i].Error = errs[i].Error()
 			nerr++
+			continue
 		}
+		results[i].CompileResponse = resps[i]
 	}
 	hits1, misses1 := s.cache.Stats()
 	return &BatchResponse{

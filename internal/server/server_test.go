@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -162,8 +163,9 @@ func TestBatchDeterminism(t *testing.T) {
 		{Name: "paper-prepass", Method: "prepass", Machine: MachineSpec{Preset: "paper2x3"}},
 		{Name: "paper-postpass", Method: "postpass"},
 		{Name: "saxpy", Source: k.Source, Lang: "kernel", Unroll: 2, Machine: MachineSpec{Width: 4, Regs: 8}},
-		{Name: "run-job", Run: true},
 		{Name: "bad", Method: "no-such-method"},
+		{Name: "run-job", Run: true},
+		{Name: "loop-job", Source: loopTestSrc, Lang: "kernel", Loop: true, Machine: MachineSpec{Width: 4, Regs: 12}},
 	}}
 
 	var ref []byte
@@ -175,7 +177,7 @@ func TestBatchDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: status %d: %s", workers, code, raw)
 		}
 		if got.Errors != 1 {
-			t.Fatalf("workers=%d: %d errors, want 1 (the bad job)", workers, got.Errors)
+			t.Fatalf("workers=%d: %d errors, want 1 (the bad job; the jobs after it still run)", workers, got.Errors)
 		}
 		// Results must be identical across worker counts; timing and cache
 		// deltas legitimately vary, so compare the results array only.
@@ -188,6 +190,69 @@ func TestBatchDeterminism(t *testing.T) {
 		} else if !bytes.Equal(ref, res) {
 			t.Errorf("workers=%d: results differ from workers=1:\n%s\nvs\n%s", workers, res, ref)
 		}
+	}
+}
+
+// TestBatchJobMatchesCompile: a batch job returns exactly what POST
+// /v1/compile returns for the same request, apart from the per-request
+// envelope (elapsed time and cache activity): listings, stats, loop
+// reports, the run body and the gap report.
+func TestBatchJobMatchesCompile(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	loop := CompileRequest{Source: loopTestSrc, Lang: "kernel", Loop: true,
+		Machine: MachineSpec{Width: 4, Regs: 12}, Init: loopTestInit()}
+	loopRun := loop
+	loopRun.Run = true
+	reqs := []CompileRequest{
+		loop,
+		{Run: true},
+		loopRun,
+		{Run: true, InOrder: true, Machine: MachineSpec{Preset: "paper2x3"}},
+		{Gap: true, Machine: MachineSpec{Preset: "paper2x3"}},
+	}
+	var batch BatchResponse
+	if code, raw := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Jobs: reqs}, &batch); code != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", code, raw)
+	}
+	// view keeps everything but the envelope.
+	view := func(r *CompileResponse) string {
+		b, err := json.Marshal([]any{r.Name, r.Method, r.Machine, r.Blocks, r.Stats, r.Loops, r.Run, r.Gap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for i, req := range reqs {
+		var one CompileResponse
+		if code, raw := postJSON(t, ts.URL+"/v1/compile", req, &one); code != http.StatusOK {
+			t.Fatalf("job %d: compile: status %d: %s", i, code, raw)
+		}
+		got := batch.Results[i]
+		if got.Error != "" {
+			t.Fatalf("job %d: batch error %s", i, got.Error)
+		}
+		if a, b := view(got.CompileResponse), view(&one); a != b {
+			t.Errorf("job %d: batch result differs from /v1/compile:\n%s\nvs\n%s", i, a, b)
+		}
+	}
+}
+
+// TestBatchCancelledCompilesNothing: a batch whose context is already
+// done returns the context's error (504 at the handler) without
+// compiling any job.
+func TestBatchCancelledCompilesNothing(t *testing.T) {
+	s := New(Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := s.runBatch(ctx, &BatchRequest{Jobs: []CompileRequest{{}, {Run: true}, {Method: "prepass"}}, Workers: 1})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("runBatch err = %v, want context.Canceled", err)
+	}
+	if code := errorStatus(err); code != http.StatusGatewayTimeout {
+		t.Errorf("status %d, want 504", code)
+	}
+	if hits, misses := s.cache.Stats(); hits+misses != 0 {
+		t.Errorf("cancelled batch measured %d blocks", hits+misses)
 	}
 }
 

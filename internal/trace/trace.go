@@ -309,19 +309,19 @@ func Compile(t *Trace, m *machine.Config, useURSA bool, copts core.Options) (*as
 	if err != nil {
 		return nil, nil, err
 	}
-	var rep *core.Report
-	if useURSA {
-		copts.Machine = m
-		rep, err = core.Run(g, copts)
-		if err != nil {
-			return nil, nil, err
-		}
+	if !useURSA {
+		prog, _, err := assign.Emit(g, m, sched.Options{})
+		return prog, nil, err
 	}
-	prog, _, err := assign.Emit(g, m, sched.Options{})
+	copts.Machine = m
+	rep, err := core.Run(g, copts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return prog, rep, nil
+	if rep.Program == nil {
+		return nil, nil, rep.EmitErr
+	}
+	return rep.Program, rep, nil
 }
 
 // Verify runs the compiled trace on the simulator and compares memory and
