@@ -21,18 +21,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"log"
 	"os"
-	"os/signal"
-	"runtime"
 	"sort"
-	"syscall"
 
 	"ursa"
-	"ursa/internal/server"
+	"ursa/internal/ir"
 )
 
 func main() {
@@ -51,36 +46,8 @@ func main() {
 		optimize     = flag.Bool("O", false, "run scalar optimizations (fold/copy/CSE/DCE) before compiling")
 		jobs         = flag.Int("j", 0, "compile blocks with N parallel workers (0: all cores, 1: sequential)")
 		cacheDir     = flag.String("cache-dir", "", "persistent compile-result cache directory; warm keys skip the allocator (ignored with -run)")
-		listen       = flag.String("listen", "", "serve the compile API on this address instead of compiling (same mux as ursad)")
-		pprofOn      = flag.Bool("pprof", false, "with -listen: mount net/http/pprof under /debug/pprof/")
-		contention   = flag.Int("pprof-contention", 0, "sample mutex contention at rate N and block events at N ns (0: off)")
 	)
 	flag.Parse()
-
-	if *contention > 0 {
-		runtime.SetMutexProfileFraction(*contention)
-		runtime.SetBlockProfileRate(*contention)
-	}
-
-	if *listen != "" {
-		// Share ursad's entry path: the same server mux, started from the
-		// compiler binary, so the serving layer is testable wherever ursac
-		// is already deployed.
-		var artifacts *ursa.ResultCache
-		if *cacheDir != "" {
-			var err error
-			if artifacts, err = ursa.OpenResultCache(*cacheDir, 0, 0, ""); err != nil {
-				fatalf("cache: %v", err)
-			}
-		}
-		srv := server.New(server.Config{Logf: log.Printf, EnablePprof: *pprofOn, Artifacts: artifacts})
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		if err := srv.ListenAndServe(ctx, *listen); err != nil {
-			fatalf("serve: %v", err)
-		}
-		return
-	}
 
 	if *machineFlag == "list" {
 		for _, p := range ursa.Presets() {
@@ -228,7 +195,7 @@ func printMem(st *ursa.State) {
 	}
 	var cells []cell
 	for a, w := range st.Mem {
-		if len(a.Sym) >= 5 && a.Sym[:5] == "spill" {
+		if ir.IsSpillSlot(a.Sym) {
 			continue
 		}
 		cells = append(cells, cell{a, w.Int()})

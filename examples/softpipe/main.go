@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"ursa"
+	"ursa/internal/ir"
 	"ursa/internal/pipeline"
 	"ursa/internal/softpipe"
 )
@@ -66,24 +67,9 @@ func modschedRow(k *ursa.Kernel, m *ursa.Machine, sweepBest float64) {
 	if _, err := ref.Run(f, budget); err != nil {
 		log.Fatalf("%s: interp: %v", k.Name, err)
 	}
-	verified := sameMem(ref, res.State)
+	verified := ir.MemDiff(ref, res.State) == nil
 	l := ms.Primary()
 	cpi := float64(res.Cycles) / float64(k.N)
 	fmt.Printf("  -> modsched: II=%d vs MII=%d (res=%d rec=%d), unroll=%d: %.2f cycles/iter (%.2fx vs best sweep), verified=%v\n",
 		l.II, l.MII, l.ResMII, l.RecMII, l.Unroll, cpi, sweepBest/cpi, verified)
-}
-
-// sameMem reports whether two states agree on every non-spill memory cell.
-func sameMem(a, b *ursa.State) bool {
-	for _, pair := range [][2]*ursa.State{{a, b}, {b, a}} {
-		for addr, w := range pair[0].Mem {
-			if len(addr.Sym) >= 5 && addr.Sym[:5] == "spill" {
-				continue
-			}
-			if pair[1].Mem[addr] != w {
-				return false
-			}
-		}
-	}
-	return true
 }

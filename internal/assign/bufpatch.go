@@ -111,7 +111,7 @@ func insertBufferSpills(f *ir.Func, lin []*ir.Instr, m *machine.Config, liveOut 
 	clsOf := map[ir.VReg]machine.FUClass{}
 	evicted := map[ir.VReg]bool{}
 	isReload := map[ir.VReg]bool{}
-	slot := func(v ir.VReg) string { return "spillb." + f.NameOf(v) }
+	slot := func(v ir.VReg) string { return ir.SpillSlot("b", f.NameOf(v)) }
 
 	nextUse := func(v ir.VReg, i int) int {
 		for j := i; j < len(lin); j++ {

@@ -69,7 +69,7 @@ func insertSpills(f *ir.Func, lin []*ir.Instr, m *machine.Config, liveOut map[ir
 	resident := map[ir.VReg]bool{} // original names currently in registers
 	spilled := map[ir.VReg]bool{}  // original names whose value lives in the slot
 	stored := map[ir.VReg]bool{}   // slot already written (values are immutable)
-	slot := func(v ir.VReg) string { return "spillp." + f.NameOf(v) }
+	slot := func(v ir.VReg) string { return ir.SpillSlot("p", f.NameOf(v)) }
 	curName := func(v ir.VReg) ir.VReg {
 		if nv, ok := cur[v]; ok {
 			return nv

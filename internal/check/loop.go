@@ -102,8 +102,8 @@ func checkLoopCase(rep *Report, c *LoopCase) {
 		return
 	}
 	rep.tick(OracleLoop)
-	if diff := loopMemDiff(ref, got); diff != "" {
-		rep.failf(OracleLoop, "pipelined interp diverges: %s", diff)
+	if d := ir.MemDiff(ref, got); d != nil {
+		rep.failf(OracleLoop, "pipelined interp diverges: %v", d)
 		return
 	}
 
@@ -119,54 +119,6 @@ func checkLoopCase(rep *Report, c *LoopCase) {
 	if !st.Verified {
 		rep.failf(OracleLoop, "compiled pipelined function failed simulator verification")
 	}
-}
-
-// loopMemDiff returns a description of the first non-spill memory cell the
-// two states disagree on, or "".
-func loopMemDiff(ref, got *ir.State) string {
-	type cell struct {
-		addr ir.Addr
-		a, b int64
-		in   [2]bool
-	}
-	cells := map[ir.Addr]*cell{}
-	visit := func(st *ir.State, side int) {
-		for addr, w := range st.Mem {
-			if strings.HasPrefix(addr.Sym, "spill") {
-				continue
-			}
-			c := cells[addr]
-			if c == nil {
-				c = &cell{addr: addr}
-				cells[addr] = c
-			}
-			c.in[side] = true
-			if side == 0 {
-				c.a = w.Int()
-			} else {
-				c.b = w.Int()
-			}
-		}
-	}
-	visit(ref, 0)
-	visit(got, 1)
-	var keys []ir.Addr
-	for addr := range cells {
-		keys = append(keys, addr)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Sym != keys[j].Sym {
-			return keys[i].Sym < keys[j].Sym
-		}
-		return keys[i].Off < keys[j].Off
-	})
-	for _, addr := range keys {
-		c := cells[addr]
-		if c.a != c.b {
-			return fmt.Sprintf("%s[%d] = %d, want %d", addr.Sym, addr.Off, c.b, c.a)
-		}
-	}
-	return ""
 }
 
 // The .ursaloop corpus format mirrors .ursafuzz: a comment naming the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,7 +29,7 @@ type evalOutcome struct {
 // iterState is the per-iteration committed state every candidate is scored
 // against: the committed graph's hammocks and nest levels plus its
 // measurements. It is derived once per committed generation (memoized in
-// the evaluator), shared by the main loop and by speculating workers.
+// the evaluator) and shared by the main loop and every candidate worker.
 type iterState struct {
 	hammocks []*dag.Hammock
 	levels   []int
@@ -74,11 +73,9 @@ type iterState struct {
 // matching however it is reached), so the selection is bit-identical across
 // paths and across worker counts.
 //
-// Between a commit and the next iteration's evaluation, workers the main
-// thread is not using may speculatively pre-score this iteration's
-// surviving candidates against the just-committed graph (speculate); the
-// next evalAll first joins the speculation and then reuses every completed
-// outcome whose candidate key reappears, evaluating only the rest.
+// The evaluator is driven by one goroutine (the reduction loop). The only
+// concurrency is evalAll's fan-out of the current iteration's candidates,
+// which has joined before evalAll returns.
 type evaluator struct {
 	g         *dag.Graph
 	resources []Resource
@@ -95,29 +92,14 @@ type evaluator struct {
 	// so stale scratches can replay instead of re-cloning.
 	commits []commitRec
 
-	stOnce *sync.Once
-	st     *iterState
+	st *iterState // memoized state for gen; nil until state() derives it
 
 	// Candidate dedupe state, reused across iterations.
 	keyBuf  []byte
 	keyIdx  map[transform.CandKey]int
-	keys    []transform.CandKey
 	slot    []int
 	uniq    []int
 	batchNs atomic.Int64 // summed per-job busy time of the current batch
-
-	// Speculation state. specOuts[i]/specDone[i] are written by exactly one
-	// worker; wg.Wait() publishes them to the main thread.
-	specActive bool
-	specGen    int
-	specCands  []scored
-	specKeys   []transform.CandKey
-	specIdx    map[transform.CandKey]int
-	specOuts   []evalOutcome
-	specDone   []bool
-	specNext   atomic.Int64
-	specCancel atomic.Bool
-	specWG     sync.WaitGroup
 }
 
 // commitRec describes one committed transformation for scratch replay.
@@ -168,7 +150,6 @@ func newEvaluator(g *dag.Graph, resources []Resource, lat func(*dag.Node) int, o
 		opts:      opts,
 		workers:   workers,
 		scratches: make([]*evalScratch, workers),
-		stOnce:    new(sync.Once),
 		keyIdx:    make(map[transform.CandKey]int),
 	}
 	if !opts.DisableIncremental {
@@ -178,44 +159,41 @@ func newEvaluator(g *dag.Graph, resources []Resource, lat func(*dag.Node) int, o
 }
 
 // state returns the committed iteration state for the current generation,
-// computing it at most once per generation. Safe for concurrent use by the
-// main loop and speculating workers; the measurement cache's flight
-// coalescing already makes the underlying measurements single-flight, and
-// the once makes the hammock analysis so too.
+// computing it at most once per generation. Called only from the goroutine
+// driving the evaluator; candidate workers receive the result as an
+// argument.
 func (e *evaluator) state() *iterState {
-	e.stOnce.Do(func() {
-		st := &iterState{results: make(map[string]*measure.Result, len(e.resources))}
-		st.hammocks = e.g.Hammocks()
-		st.levels = e.g.NestLevels(st.hammocks)
-		for _, r := range e.resources {
-			res := e.opts.Cache.Measure(e.g, r.Name, r.Build)
-			st.results[r.Name] = res
-			if d := res.Width - r.Limit; d > 0 {
-				st.excess += d
-			}
+	if e.st != nil {
+		return e.st
+	}
+	st := &iterState{results: make(map[string]*measure.Result, len(e.resources))}
+	st.hammocks = e.g.Hammocks()
+	st.levels = e.g.NestLevels(st.hammocks)
+	for _, r := range e.resources {
+		res := e.opts.Cache.Measure(e.g, r.Name, r.Build)
+		st.results[r.Name] = res
+		if d := res.Width - r.Limit; d > 0 {
+			st.excess += d
 		}
-		e.st = st
-	})
-	return e.st
+	}
+	e.st = st
+	return st
 }
 
 // commit records that the candidate was just applied to the committed
-// graph: it joins any running speculation beforehand (the speculating
-// workers read e.g), advances the generation, invalidates the memoized
-// iteration state, and updates the closure — in place for sequencing
-// commits, recomputed for spills (which add nodes).
+// graph: it advances the generation, invalidates the memoized iteration
+// state, and updates the closure — in place for sequencing commits,
+// recomputed for spills (which add nodes).
 //
 // The caller must call commit after every Candidate.Apply on e.g and
 // before the next state or evalAll.
 func (e *evaluator) commit(c *transform.Candidate) {
-	e.drainSpec()
 	rec := commitRec{spill: !c.SeqOnly()}
 	if !rec.spill {
 		rec.edges = c.Edges
 	}
 	e.commits = append(e.commits, rec)
 	e.gen++
-	e.stOnce = new(sync.Once)
 	e.st = nil
 	if e.reach != nil {
 		if rec.spill {
@@ -227,10 +205,6 @@ func (e *evaluator) commit(c *transform.Candidate) {
 		}
 	}
 }
-
-// close joins any outstanding speculation. Must be called before the
-// committed graph escapes the evaluator's control.
-func (e *evaluator) close() { e.drainSpec() }
 
 // scratch returns worker w's scratch state, building it on first use and
 // bringing its graph up to the committed generation: sequencing commits are
@@ -273,20 +247,15 @@ func (e *evaluator) scratch(w int) *evalScratch {
 // order. Candidates with identical effect (equal transform.Candidate key)
 // are measured once and share the measurement; the returned slice still
 // carries one entry per input candidate so the selection sort ranks exactly
-// the sequence the pre-engine code ranked, ties included. Completed
-// speculative outcomes for the current generation are consumed instead of
-// re-evaluated.
+// the sequence the pre-engine code ranked, ties included.
 func (e *evaluator) evalAll(cands []scored) ([]evalOutcome, error) {
-	e.drainSpec()
 	st := e.state()
 
 	if cap(e.slot) < len(cands) {
 		e.slot = make([]int, len(cands))
-		e.keys = make([]transform.CandKey, 0, len(cands))
 	}
 	e.slot = e.slot[:len(cands)]
 	e.uniq = e.uniq[:0]
-	e.keys = e.keys[:0]
 	clear(e.keyIdx)
 	for i, s := range cands {
 		var k transform.CandKey
@@ -298,39 +267,21 @@ func (e *evaluator) evalAll(cands []scored) ([]evalOutcome, error) {
 		e.keyIdx[k] = len(e.uniq)
 		e.slot[i] = len(e.uniq)
 		e.uniq = append(e.uniq, i)
-		e.keys = append(e.keys, k)
 	}
 
-	// Harvest completed speculation for keys that reappeared this
-	// generation. outs is indexed by uniq slot; -1 marks "evaluate".
+	// outs is indexed by uniq slot.
 	outs := make([]evalOutcome, len(e.uniq))
-	todo := e.uniq[:0:0]
-	todoSlot := make([]int, 0, len(e.uniq))
-	hits := 0
-	for j, i := range e.uniq {
-		if o, ok := e.specLookup(e.keys[j]); ok {
-			o.s = cands[i]
-			outs[j] = o
-			hits++
-			continue
-		}
-		todo = append(todo, i)
-		todoSlot = append(todoSlot, j)
-	}
-	if hits > 0 {
-		metrics.AddSpeculativeHits(uint64(hits))
-	}
-	metrics.AddCandidateEvals(uint64(len(todo)))
+	metrics.AddCandidateEvals(uint64(len(e.uniq)))
 
 	e.batchNs.Store(0)
 	start := time.Now()
-	_, _, err := driver.MapWorkers(len(todo), func(w, j int) (struct{}, error) {
+	_, _, err := driver.MapWorkers(len(e.uniq), func(w, j int) (struct{}, error) {
 		t0 := time.Now()
-		s := cands[todo[j]]
+		s := cands[e.uniq[j]]
 		if e.opts.DisableIncremental {
-			outs[todoSlot[j]] = e.evalFull(s)
+			outs[j] = e.evalFull(s)
 		} else {
-			outs[todoSlot[j]] = e.evalIncremental(e.scratch(w), st, s)
+			outs[j] = e.evalIncremental(e.scratch(w), st, s)
 		}
 		e.batchNs.Add(int64(time.Since(t0)))
 		return struct{}{}, nil
@@ -341,7 +292,7 @@ func (e *evaluator) evalAll(cands []scored) ([]evalOutcome, error) {
 		// propagated. Do the same instead of silently dropping candidates.
 		return nil, err
 	}
-	if n := len(todo); n > 0 {
+	if n := len(e.uniq); n > 0 {
 		wall := int64(time.Since(start))
 		busy := e.batchNs.Load()
 		w := e.workers
@@ -447,117 +398,6 @@ func (e *evaluator) evalFull(s scored) evalOutcome {
 	}
 	crit := cl.CriticalPath(e.lat)
 	return evalOutcome{s: s, ok: true, excess: excess, crit: crit}
-}
-
-// speculate pre-scores the sequencing-only candidates that were not just
-// committed against the just-committed graph, on the workers the main
-// thread leaves idle while it remeasures the committed graph and generates
-// the next iteration's candidates. Speculative results are tagged with the
-// generation they were computed for; evalAll consumes the completed ones
-// whose keys reappear and the rest are discarded. Evaluation on a scratch
-// graph with the committed state as input is deterministic, so a consumed
-// speculative outcome is bit-identical to what evalAll would have computed.
-//
-// cands and keyed are the just-evaluated iteration's candidates with their
-// slot mapping (evalAll's dedupe state is still current when runOnce calls
-// this), committed is the applied candidate. Speculation requires at least
-// two workers and the incremental path.
-func (e *evaluator) speculate(cands []scored, committed *transform.Candidate) {
-	if e.workers <= 1 || e.opts.DisableIncremental || e.specActive {
-		return
-	}
-	var ck transform.CandKey
-	ck, e.keyBuf = committed.FixedKey(e.keyBuf)
-
-	e.specCands = e.specCands[:0]
-	e.specKeys = e.specKeys[:0]
-	if e.specIdx == nil {
-		e.specIdx = make(map[transform.CandKey]int)
-	}
-	clear(e.specIdx)
-	for _, s := range cands {
-		if !s.cand.SeqOnly() {
-			continue
-		}
-		var k transform.CandKey
-		k, e.keyBuf = s.cand.FixedKey(e.keyBuf)
-		if k == ck {
-			continue
-		}
-		if _, dup := e.specIdx[k]; dup {
-			continue
-		}
-		e.specIdx[k] = len(e.specCands)
-		e.specCands = append(e.specCands, s)
-		e.specKeys = append(e.specKeys, k)
-	}
-	if len(e.specCands) == 0 {
-		return
-	}
-	if cap(e.specOuts) < len(e.specCands) {
-		e.specOuts = make([]evalOutcome, len(e.specCands))
-		e.specDone = make([]bool, len(e.specCands))
-	}
-	e.specOuts = e.specOuts[:len(e.specCands)]
-	e.specDone = e.specDone[:len(e.specCands)]
-	for i := range e.specDone {
-		e.specDone[i] = false
-	}
-	e.specGen = e.gen
-	e.specNext.Store(0)
-	e.specCancel.Store(false)
-	e.specActive = true
-
-	// Leave one worker's worth of CPU for the main thread's own remeasure
-	// and candidate generation.
-	nw := e.workers - 1
-	if nw > len(e.specCands) {
-		nw = len(e.specCands)
-	}
-	e.specWG.Add(nw)
-	for w := 1; w <= nw; w++ {
-		go func(worker int) {
-			defer e.specWG.Done()
-			st := e.state()
-			sc := e.scratch(worker)
-			for {
-				if e.specCancel.Load() {
-					return
-				}
-				i := int(e.specNext.Add(1)) - 1
-				if i >= len(e.specCands) {
-					return
-				}
-				e.specOuts[i] = e.evalIncremental(sc, st, e.specCands[i])
-				e.specDone[i] = true
-				metrics.AddSpeculativeEvals(1)
-			}
-		}(w)
-	}
-}
-
-// drainSpec stops in-progress speculation and waits for the workers to
-// finish their current jobs. Completed outcomes stay available to
-// specLookup until the next commit invalidates them.
-func (e *evaluator) drainSpec() {
-	if !e.specActive {
-		return
-	}
-	e.specCancel.Store(true)
-	e.specWG.Wait()
-	e.specActive = false
-}
-
-// specLookup returns the completed speculative outcome for the key, if one
-// was computed for the current generation. Only valid after drainSpec.
-func (e *evaluator) specLookup(k transform.CandKey) (evalOutcome, bool) {
-	if e.specGen != e.gen || len(e.specKeys) == 0 {
-		return evalOutcome{}, false
-	}
-	if i, ok := e.specIdx[k]; ok && e.specDone[i] {
-		return e.specOuts[i], true
-	}
-	return evalOutcome{}, false
 }
 
 // kindRanks returns the §5 kind preference for the style, indexed by

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"ursa/internal/dag"
 	"ursa/internal/ir"
 	"ursa/internal/machine"
 	"ursa/internal/measure"
-	"ursa/internal/metrics"
 	"ursa/internal/target"
 )
 
@@ -31,7 +29,7 @@ func runVariant(t *testing.T, f *ir.Func, opts Options, style scoreStyle) *Repor
 		t.Fatalf("Build: %v", err)
 	}
 	opts.Cache = measure.NewCache()
-	rep, err := runOnce(g, opts, style)
+	rep, err := runOnce(g, opts, style, iterBound(g))
 	if err != nil {
 		t.Fatalf("runOnce: %v", err)
 	}
@@ -92,40 +90,5 @@ func TestFreshVsPooledEvaluator(t *testing.T) {
 		if diff := reportsEqual(fresh, pooled); diff != "" {
 			t.Fatalf("trial %d (%s, style %d): %s", trial, m.Name, style, diff)
 		}
-	}
-}
-
-// TestSpeculationDeterminismAcrossWorkers: with speculation actually
-// engaged (workers > 1 requires GOMAXPROCS > 1, which this test forces),
-// the applied sequence at -j 4 and -j 8 is identical to -j 1, where
-// speculation is structurally off. Run under -race this also sweeps the
-// speculating goroutines — scratch arenas, the shared iteration state, and
-// the measurement cache's flight coalescing — for data races.
-func TestSpeculationDeterminismAcrossWorkers(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-
-	trials := 12
-	if testing.Short() {
-		trials = 4
-	}
-	specBefore := metrics.SpeculativeEvals()
-	rng := rand.New(rand.NewSource(17))
-	machines := []*machine.Config{machine.VLIW(1, 3), machine.VLIW(2, 3), machine.VLIW(1, 4)}
-	for trial := 0; trial < trials; trial++ {
-		f := randomBlock(rng, 14+rng.Intn(12))
-		m := machines[trial%len(machines)]
-		for _, style := range []scoreStyle{styleDefault, styleSpillFirst} {
-			ref := runVariant(t, f, Options{Machine: m, Workers: 1}, style)
-			for _, w := range []int{4, 8} {
-				rep := runVariant(t, f, Options{Machine: m, Workers: w}, style)
-				if diff := reportsEqual(ref, rep); diff != "" {
-					t.Fatalf("trial %d (%s, style %d, -j %d): %s", trial, m.Name, style, w, diff)
-				}
-			}
-		}
-	}
-	if metrics.SpeculativeEvals() == specBefore {
-		t.Error("sweep never engaged speculation; workload needs retuning")
 	}
 }

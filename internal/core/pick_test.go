@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
+	"runtime"
 	"testing"
 
 	"ursa/internal/dag"
@@ -123,7 +123,7 @@ func TestPlateauMovesAreSpillsAndBounded(t *testing.T) {
 					t.Fatal(err)
 				}
 				rep, err := runOnce(g, Options{Machine: m, Cache: measure.NewCache(),
-					DisableSequencing: noSeq}, styleDefault)
+					DisableSequencing: noSeq}, styleDefault, iterBound(g))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -153,8 +153,16 @@ func TestPlateauMovesAreSpillsAndBounded(t *testing.T) {
 // TestStyleDeterminismAcrossWorkers: for every tie-break style, the full
 // applied-transformation sequence is identical whether candidates are
 // evaluated inline, across 4 or 8 workers, or by the pre-engine
-// full-remeasure path — the engine changes cost only, never choice.
+// full-remeasure path — the engine changes cost only, never choice. The
+// evaluator caps its pool at GOMAXPROCS, so the test forces it to 4: on a
+// one-CPU host the -j 4/-j 8 variants would otherwise evaluate inline. Run
+// under -race this also sweeps the candidate fan-out — per-worker scratch
+// arenas, the shared iteration state, and the measurement cache's flight
+// coalescing — for data races.
 func TestStyleDeterminismAcrossWorkers(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+
 	rng := rand.New(rand.NewSource(3))
 	machines := append(plateauMachines(), machine.VLIW(2, 3), machine.VLIW(1, 4))
 	for trial := 0; trial < 6; trial++ {
@@ -178,7 +186,7 @@ func TestStyleDeterminismAcrossWorkers(t *testing.T) {
 						t.Fatal(err)
 					}
 					opts.Cache = measure.NewCache()
-					rep, err := runOnce(g, opts, style)
+					rep, err := runOnce(g, opts, style, iterBound(g))
 					if err != nil {
 						t.Fatalf("trial %d %s style %d variant %d: %v", trial, m.Name, style, vi, err)
 					}
@@ -186,15 +194,8 @@ func TestStyleDeterminismAcrossWorkers(t *testing.T) {
 						ref = rep
 						continue
 					}
-					if !reflect.DeepEqual(rep.Applied, ref.Applied) {
-						t.Errorf("trial %d %s style %d variant %d: applied sequence diverged\n got %+v\nwant %+v",
-							trial, m.Name, style, vi, rep.Applied, ref.Applied)
-					}
-					if rep.Iterations != ref.Iterations || rep.SpillsInserted != ref.SpillsInserted ||
-						!reflect.DeepEqual(rep.FinalWidths, ref.FinalWidths) {
-						t.Errorf("trial %d %s style %d variant %d: report diverged (%d iters / %d spills / %v, want %d / %d / %v)",
-							trial, m.Name, style, vi, rep.Iterations, rep.SpillsInserted, rep.FinalWidths,
-							ref.Iterations, ref.SpillsInserted, ref.FinalWidths)
+					if diff := reportsEqual(ref, rep); diff != "" {
+						t.Errorf("trial %d %s style %d variant %d: %s", trial, m.Name, style, vi, diff)
 					}
 				}
 			}

@@ -58,10 +58,6 @@ func (p Policy) String() string {
 type Options struct {
 	Machine *machine.Config
 	Policy  Policy
-	// MaxIters bounds the transformation loop; 0 means 8·N+16 where N is
-	// the node count. Residual excess after the bound is left for the
-	// assignment phase, as §2 allows.
-	MaxIters int
 	// Trace, when non-nil, receives a line per measurement and applied
 	// transformation.
 	Trace io.Writer
@@ -341,9 +337,7 @@ func Run(g *dag.Graph, opts Options) (*Report, error) {
 	var bestRep *Report
 	attempt := func(style scoreStyle, maxIters int) error {
 		cl := g.Clone()
-		o := opts
-		o.MaxIters = maxIters
-		rep, err := runOnce(cl, o, style)
+		rep, err := runOnce(cl, opts, style, maxIters)
 		if err != nil {
 			return err
 		}
@@ -359,14 +353,14 @@ func Run(g *dag.Graph, opts Options) (*Report, error) {
 	// the worst-case excess never materializes and transformation would
 	// only lengthen the schedule. When it already fits, no reduction has
 	// anything to commit.
-	if err := attempt(styleDefault, -1); err != nil {
+	if err := attempt(styleDefault, 0); err != nil {
 		return nil, err
 	}
 	for _, style := range styles {
 		if bestRep.Fits {
 			break
 		}
-		if err := attempt(style, opts.MaxIters); err != nil {
+		if err := attempt(style, iterBound(g)); err != nil {
 			return nil, err
 		}
 	}
@@ -409,16 +403,17 @@ const (
 	styleSpillFirst
 )
 
-func runOnce(g *dag.Graph, opts Options, style scoreStyle) (*Report, error) {
+// iterBound is the reduction loop's iteration bound for a graph: 8·N+16
+// where N is the node count. Residual excess after the bound is left for
+// the assignment phase, as §2 allows.
+func iterBound(g *dag.Graph) int { return 8*len(g.Nodes) + 16 }
+
+// runOnce measures the graph and commits at most maxIters reductions under
+// the style's tie-break; maxIters 0 is a measurement-only run (the
+// untransformed baseline option).
+func runOnce(g *dag.Graph, opts Options, style scoreStyle, maxIters int) (*Report, error) {
 	m := opts.Machine
 	resources := Resources(g, m)
-	maxIters := opts.MaxIters
-	switch {
-	case maxIters < 0:
-		maxIters = 0 // measurement-only run (the untransformed baseline)
-	case maxIters == 0:
-		maxIters = 8*len(g.Nodes) + 16
-	}
 	lat := func(n *dag.Node) int { return m.LatencyOf(n.Instr.Op) }
 
 	rep := &Report{
@@ -434,10 +429,8 @@ func runOnce(g *dag.Graph, opts Options, style scoreStyle) (*Report, error) {
 	}
 
 	// One evaluator for the whole run: its scratch graphs, closures, and
-	// measurement buffers persist across reduction iterations, and between
-	// iterations its idle workers pre-score surviving candidates.
+	// measurement buffers persist across reduction iterations.
 	ev := newEvaluator(g, resources, lat, &opts)
-	defer ev.close()
 
 	st := ev.state()
 	results, excess := st.results, st.excess
@@ -468,8 +461,8 @@ func runOnce(g *dag.Graph, opts Options, style scoreStyle) (*Report, error) {
 		plateau := 4
 		for rep.Iterations < maxIters && excess > 0 {
 			// One Hammocks pass per iteration (memoized in the evaluator's
-			// generation state), shared by excess-set location, the delta
-			// measurements' priority levels, and speculating workers.
+			// generation state), shared by excess-set location and the delta
+			// measurements' priority levels.
 			st := ev.state()
 			cands := collectCandidates(g, phase, st.results, opts, st.hammocks)
 			if len(cands) == 0 {
@@ -495,10 +488,6 @@ func runOnce(g *dag.Graph, opts Options, style scoreStyle) (*Report, error) {
 				return nil, fmt.Errorf("core: committing %s: %v", best.cand, err)
 			}
 			ev.commit(best.cand)
-			// While this thread remeasures the committed graph and builds
-			// the next candidate list, idle workers pre-score the surviving
-			// candidates against it.
-			ev.speculate(cands, best.cand)
 			rep.Iterations++
 			if best.cand.Kind == transform.Spill || best.cand.Kind == transform.CopySpill {
 				rep.SpillsInserted++

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ursa/internal/core"
 	"ursa/internal/machine"
 	"ursa/internal/store"
 	"ursa/internal/workload"
@@ -212,6 +213,11 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	// at every worker count by design), so it must not split the cache.
 	if CacheKey(f, machine.VLIW(4, 8), URSA, Options{Workers: 7}) != base {
 		t.Error("worker count changed the cache key")
+	}
+	// Nor can the choice of candidate evaluator: the reference path picks
+	// exactly what the incremental one picks.
+	if CacheKey(f, machine.VLIW(4, 8), URSA, Options{Core: core.Options{DisableIncremental: true}}) != base {
+		t.Error("DisableIncremental changed the cache key")
 	}
 
 	// Everything semantic must split the key.

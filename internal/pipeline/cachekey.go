@@ -26,8 +26,10 @@ import (
 // ablation switches).
 //
 // Excluded: worker counts and contexts (the emitted program is
-// byte-identical at every parallelism by construction), trace sinks, and
-// the measurement cache handle (pure memoization).
+// byte-identical at every parallelism by construction), the choice of
+// candidate evaluator (DisableIncremental selects a reference path that is
+// byte-identical by construction), trace sinks, and the measurement cache
+// handle (pure memoization).
 func CacheKey(f *ir.Func, m *machine.Config, method Method, opts Options) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -55,10 +57,8 @@ func CacheKey(f *ir.Func, m *machine.Config, method Method, opts Options) string
 	wInt(int64(method))
 	wBool(opts.Optimize)
 	wInt(int64(opts.Core.Policy))
-	wInt(int64(opts.Core.MaxIters))
 	wBool(opts.Core.DisableSpills)
 	wBool(opts.Core.DisableSequencing)
-	wBool(opts.Core.DisableIncremental)
 
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -162,8 +162,8 @@ func (fp *FuncProgram) Verify(ref *ir.Func, init *ir.State, maxCycles int, inOrd
 	if err != nil {
 		return nil, fmt.Errorf("run: %w", err)
 	}
-	if err := compareMem(want, res.State); err != nil {
-		return nil, fmt.Errorf("verification: %w", err)
+	if d := ir.MemDiff(want, res.State); d != nil {
+		return nil, fmt.Errorf("verification: %w", d)
 	}
 	return res, nil
 }
@@ -203,27 +203,4 @@ func evaluateFunc(f *ir.Func, m *machine.Config, method Method, init *ir.State, 
 	st.RecordRun(res)
 	st.SpillOps = res.SpillOps // dynamic counts replace static ones
 	return st, nil
-}
-
-func compareMem(ref, got *ir.State) error {
-	isSpill := func(sym string) bool {
-		return len(sym) >= 5 && sym[:5] == "spill"
-	}
-	for addr, want := range ref.Mem {
-		if isSpill(addr.Sym) {
-			continue
-		}
-		if g := got.Mem[addr]; g != want {
-			return fmt.Errorf("mem %s[%d] = %d, want %d", addr.Sym, addr.Off, g.Int(), want.Int())
-		}
-	}
-	for addr, g := range got.Mem {
-		if isSpill(addr.Sym) {
-			continue
-		}
-		if want := ref.Mem[addr]; g != want {
-			return fmt.Errorf("mem %s[%d] = %d, want %d", addr.Sym, addr.Off, g.Int(), want.Int())
-		}
-	}
-	return nil
 }

@@ -88,7 +88,7 @@ func TestEvaluateFuncCatchesMiscompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt one emitted immediate and check compareMem catches it.
+	// Corrupt one emitted immediate and check ir.MemDiff catches it.
 	corrupted := false
 	for _, prog := range fp.Blocks {
 		for _, in := range prog.Instrs() {
@@ -111,7 +111,7 @@ func TestEvaluateFuncCatchesMiscompiles(t *testing.T) {
 		// demonstrates detection.
 		return
 	}
-	if err := compareMem(ref, res.State); err == nil {
+	if ir.MemDiff(ref, res.State) == nil {
 		t.Fatal("corrupted program passed memory comparison")
 	}
 }

@@ -329,22 +329,3 @@ func Evaluate(b *ir.Block, m *machine.Config, method Method, init *ir.State, opt
 	st.Utilization = res.Utilization()
 	return st, nil
 }
-
-// EvaluateAll runs every pipeline on the block and returns their stats in
-// Methods order. Methods the machine's target family does not support
-// (e.g. postpass on clustered register files) are skipped, so the result
-// may be shorter than Methods.
-func EvaluateAll(b *ir.Block, m *machine.Config, init *ir.State, opts Options) ([]*Stats, error) {
-	var out []*Stats
-	for _, method := range Methods {
-		st, err := Evaluate(b, m, method, init, opts)
-		if err != nil {
-			if target.Unsupported(err) {
-				continue
-			}
-			return nil, err
-		}
-		out = append(out, st)
-	}
-	return out, nil
-}

@@ -98,22 +98,6 @@ func TestStatsRow(t *testing.T) {
 	}
 }
 
-func TestEvaluateAllOrder(t *testing.T) {
-	f := ir.MustParse(paperSrc)
-	all, err := EvaluateAll(f.Blocks[0], machine.VLIW(2, 5), paperInit(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != len(Methods) {
-		t.Fatalf("%d stats, want %d", len(all), len(Methods))
-	}
-	for i, st := range all {
-		if st.Method != Methods[i] {
-			t.Errorf("stats[%d] = %s, want %s", i, st.Method, Methods[i])
-		}
-	}
-}
-
 // TestPipelinesRandomCrossCheck compiles random closed blocks through all
 // four pipelines on assorted machines and verifies each result.
 func TestPipelinesRandomCrossCheck(t *testing.T) {

@@ -265,7 +265,7 @@ func tryColor(f *ir.Func, instrs []*ir.Instr, m *machine.Config, outName map[ir.
 // names are recorded in temps — their ranges are minimal by construction,
 // so they must never be chosen as spill victims themselves.
 func spillEverywhere(f *ir.Func, instrs []*ir.Instr, v ir.VReg, outName map[ir.VReg]ir.VReg, temps map[ir.VReg]bool) ([]*ir.Instr, map[ir.VReg]ir.VReg) {
-	slot := "spillc." + f.NameOf(v)
+	slot := ir.SpillSlot("c", f.NameOf(v))
 	var out []*ir.Instr
 	reloads := 0
 	for _, in := range instrs {

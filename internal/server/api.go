@@ -269,7 +269,7 @@ type RunJSON struct {
 func memCells(st *ir.State) []MemCell {
 	var cells []MemCell
 	for a, w := range st.Mem {
-		if len(a.Sym) >= 5 && a.Sym[:5] == "spill" {
+		if ir.IsSpillSlot(a.Sym) {
 			continue
 		}
 		cells = append(cells, MemCell{Sym: a.Sym, Off: a.Off, Value: w.Int()})

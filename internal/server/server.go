@@ -192,12 +192,6 @@ func New(cfg Config) *Server {
 	r.Func("ursa_eval_idle_seconds_total", "cumulative wall time evaluator workers spent idle inside a batch (fan-out imbalance)", "counter", func() float64 {
 		return float64(metrics.EvalIdleNanos()) / 1e9
 	})
-	r.Func("ursa_speculative_evals_total", "candidates pre-scored speculatively between reduction iterations", "counter", func() float64 {
-		return float64(metrics.SpeculativeEvals())
-	})
-	r.Func("ursa_speculative_hits_total", "speculative pre-scores that were consumed by the next iteration", "counter", func() float64 {
-		return float64(metrics.SpeculativeHits())
-	})
 	s.registerCacheMetrics()
 
 	mux := http.NewServeMux()
@@ -222,7 +216,7 @@ func New(cfg Config) *Server {
 }
 
 // Handler returns the server's routed handler — mountable into any
-// http.Server or mux (ursad and `ursac -listen` both mount it).
+// http.Server or mux (ursad mounts it).
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Registry returns the server's metrics registry.

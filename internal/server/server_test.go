@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -127,6 +128,29 @@ func TestCompileRunVerifies(t *testing.T) {
 	}
 	if len(got.Run.Mem) == 0 {
 		t.Error("run reported no memory cells")
+	}
+}
+
+// TestCompileRunListsUserSpillPrefix: a user symbol that merely starts with
+// "spill" is program memory, not a compiler spill slot, so run.mem lists
+// it next to every other cell.
+func TestCompileRunListsUserSpillPrefix(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var got CompileResponse
+	code, raw := postJSON(t, ts.URL+"/v1/compile", CompileRequest{
+		Source: "spillover[0] = a[0] + 1;\nout[0] = a[0] + 2;\n",
+		Lang:   "kernel",
+		Run:    true,
+	}, &got)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, raw)
+	}
+	if got.Run == nil {
+		t.Fatal("missing run body")
+	}
+	want := []MemCell{{Sym: "out", Off: 0, Value: 2}, {Sym: "spillover", Off: 0, Value: 1}}
+	if !reflect.DeepEqual(got.Run.Mem, want) {
+		t.Errorf("run.mem = %+v, want %+v", got.Run.Mem, want)
 	}
 }
 

@@ -339,27 +339,8 @@ func Verify(prog *assign.Program, t *Trace, init *ir.State) (*vliwsim.Result, er
 	if res.Exit != exit {
 		return nil, fmt.Errorf("trace: exit %q, want %q", res.Exit, exit)
 	}
-	for addr, want := range ref.Mem {
-		if isSpill(addr.Sym) {
-			continue
-		}
-		if got := res.State.Mem[addr]; got != want {
-			return nil, fmt.Errorf("trace: mem %s[%d] = %d, want %d",
-				addr.Sym, addr.Off, got.Int(), want.Int())
-		}
-	}
-	for addr, got := range res.State.Mem {
-		if isSpill(addr.Sym) {
-			continue
-		}
-		if want := ref.Mem[addr]; got != want {
-			return nil, fmt.Errorf("trace: mem %s[%d] = %d, want %d",
-				addr.Sym, addr.Off, got.Int(), want.Int())
-		}
+	if d := ir.MemDiff(ref, res.State); d != nil {
+		return nil, fmt.Errorf("trace: %w", d)
 	}
 	return res, nil
-}
-
-func isSpill(sym string) bool {
-	return len(sym) >= 5 && sym[:5] == "spill"
 }

@@ -350,7 +350,7 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 	f := g.Func
 	name := f.NameOf(sp.Reg)
 	class := f.ClassOf(sp.Reg)
-	slot := "spill." + name
+	slot := ir.SpillSlot("", name)
 
 	if g.LiveOut[sp.Reg] {
 		return fmt.Errorf("transform spill: %s is live-out", name)
@@ -456,7 +456,7 @@ func applyCopySpill(g *dag.Graph, sp *CopySpillSpec, log *UndoLog) error {
 	if def < 0 {
 		return fmt.Errorf("transform copy-spill: copy source %s is not defined in the region", f.NameOf(src))
 	}
-	slot := "spill." + f.NameOf(src)
+	slot := ir.SpillSlot("", f.NameOf(src))
 	srcCluster := g.Nodes[def].Instr.Cluster
 
 	st := g.AddInstr(&ir.Instr{Op: ir.SpillStore, Args: []ir.VReg{src}, Sym: slot, Cluster: srcCluster})

@@ -8,7 +8,6 @@ package vliwsim
 
 import (
 	"fmt"
-	"strings"
 
 	"ursa/internal/assign"
 	"ursa/internal/ir"
@@ -200,26 +199,12 @@ func Verify(p *assign.Program, orig *ir.Block, init *ir.State) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	for addr, want := range ref.Mem {
-		if isSpillSlot(addr.Sym) {
-			continue
-		}
-		if got := res.State.Mem[addr]; got != want {
-			return nil, fmt.Errorf("vliwsim: mem %s[%d] = %d, want %d",
-				addr.Sym, addr.Off, got.Int(), want.Int())
-		}
-	}
-	for addr, got := range res.State.Mem {
-		if isSpillSlot(addr.Sym) {
-			continue
-		}
-		if want, ok := ref.Mem[addr]; !ok && got != 0 {
+	if d := ir.MemDiff(ref, res.State); d != nil {
+		if _, ok := ref.Mem[d.Addr]; !ok {
 			return nil, fmt.Errorf("vliwsim: unexpected write to %s[%d] = %d",
-				addr.Sym, addr.Off, got.Int())
-		} else if ok && got != want {
-			return nil, fmt.Errorf("vliwsim: mem %s[%d] = %d, want %d",
-				addr.Sym, addr.Off, got.Int(), want.Int())
+				d.Addr.Sym, d.Addr.Off, d.Got.Int())
 		}
+		return nil, fmt.Errorf("vliwsim: %w", d)
 	}
 	for v, phys := range p.OutMap {
 		if got, want := res.State.Regs[phys], ref.Regs[v]; got != want {
@@ -228,8 +213,4 @@ func Verify(p *assign.Program, orig *ir.Block, init *ir.State) (*Result, error) 
 		}
 	}
 	return res, nil
-}
-
-func isSpillSlot(sym string) bool {
-	return strings.HasPrefix(sym, "spill")
 }
