@@ -7,12 +7,6 @@
 // test), and `ursabench -benchjson <path>`, which executes every benchmark
 // through testing.Benchmark and writes the results as JSON so successive
 // commits can be compared mechanically.
-//
-// Each workload is measured in two modes: "full" re-measures every
-// candidate from scratch (core.Options.DisableIncremental — the pre-engine
-// behavior, kept as the committed baseline) and "incremental" uses the
-// delta engine. The ratio of the two is the engine's speedup, quoted in
-// docs/PERF.md.
 package bench
 
 import (
@@ -53,8 +47,7 @@ func pickBestGraph() (*dag.Graph, *machine.Config) {
 }
 
 // reduceGraph builds the BenchmarkReduceLarge workload: big enough that the
-// reduction loop runs many iterations, small enough that the full-measure
-// baseline finishes in benchmark time.
+// reduction loop runs many iterations.
 func reduceGraph() (*dag.Graph, *machine.Config) {
 	return workload.MustBuild(workload.LayeredBlock(12, 6)), machine.VLIW(4, 8)
 }
@@ -138,12 +131,8 @@ func Suite() []Named {
 	pg, pm := pickBestGraph()
 	rg, rm := reduceGraph()
 	return []Named{
-		{"PickBest/full", benchScore(pg, pm, core.Options{DisableIncremental: true, Workers: 1})},
 		{"PickBest/incremental", benchScore(pg, pm, core.Options{Workers: 1})},
-		{"PickBest/incremental-parallel", benchScore(pg, pm, core.Options{})},
-		{"ReduceLarge/full", benchReduce(rg, rm, core.Options{DisableIncremental: true, Workers: 1})},
 		{"ReduceLarge/incremental", benchReduce(rg, rm, core.Options{Workers: 1})},
-		{"ReduceLarge/incremental-parallel", benchReduce(rg, rm, core.Options{})},
 		{"Loop/pipeline-saxpy", benchLoopPipeline("saxpy", machine.VLIW(4, 12))},
 		{"Loop/pipeline-stencil3", benchLoopPipeline("stencil3", machine.VLIW(4, 12))},
 		{"Target/clustered-clus2x2x4", benchTargetCompile("clus2x2x4", 8, 4)},

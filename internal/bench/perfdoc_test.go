@@ -17,10 +17,10 @@ func kilo(n int64) string {
 }
 
 // TestPerfDocQuotesLedger checks every figure in docs/PERF.md's "Measured
-// effect" table — full and incremental ms/op, the speed-up, and allocs/op —
-// against the committed BENCH_core.json, so the doc cannot drift from the
-// ledger. A row's first word names the benchmark family; its figures come
-// from the family's /full and /incremental entries.
+// effect" table — ms/op and allocs/op — against the committed
+// BENCH_core.json, so the doc cannot drift from the ledger. A row's first
+// word names the benchmark family; its figures come from the family's
+// /incremental entry.
 func TestPerfDocQuotesLedger(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/PERF.md")
 	if err != nil {
@@ -43,25 +43,19 @@ func TestPerfDocQuotesLedger(t *testing.T) {
 	rows := 0
 	for _, line := range strings.Split(section, "\n") {
 		cells := strings.Split(strings.Trim(line, "|"), "|")
-		if !strings.HasPrefix(line, "|") || len(cells) != 5 {
+		if !strings.HasPrefix(line, "|") || len(cells) != 3 {
 			continue
 		}
 		for i := range cells {
 			cells[i] = strings.TrimSpace(cells[i])
 		}
 		family, _, _ := strings.Cut(cells[0], " ")
-		full, okF := ledger[family+"/full"]
-		inc, okI := ledger[family+"/incremental"]
-		if !okF || !okI {
+		e, ok := ledger[family+"/incremental"]
+		if !ok {
 			continue // header and separator rows
 		}
 		rows++
-		want := []string{
-			fmt.Sprintf("%.1f", full.NsPerOp/1e6),
-			fmt.Sprintf("%.1f", inc.NsPerOp/1e6),
-			fmt.Sprintf("**%.1f×**", full.NsPerOp/inc.NsPerOp),
-			kilo(full.AllocsPerOp) + " → " + kilo(inc.AllocsPerOp),
-		}
+		want := []string{fmt.Sprintf("%.1f", e.NsPerOp/1e6), kilo(e.AllocsPerOp)}
 		for i, w := range want {
 			if cells[i+1] != w {
 				t.Errorf("%s column %d quotes %q, BENCH_core.json gives %q", family, i+1, cells[i+1], w)

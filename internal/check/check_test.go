@@ -158,6 +158,9 @@ func TestRunCampaignClean(t *testing.T) {
 			t.Errorf("oracle %s never exercised", oracle)
 		}
 	}
+	if sum.Exercised[deltaSpillReplays] == 0 {
+		t.Error("the delta oracle replayed no spill or copy-spill candidate")
+	}
 }
 
 func TestRunDeterministic(t *testing.T) {

@@ -17,37 +17,30 @@ import (
 // incrementally and from scratch).
 const deltaCandidateLimit = 16
 
-// checkDelta holds the incremental remeasurement engine to account against
-// the from-scratch reference it replaces. Three layers are cross-checked on
-// every case:
+// deltaSpillLimit bounds the spill and copy-spill replays per case. It is
+// a budget of its own, so the sequencing replays cannot starve them.
+const deltaSpillLimit = 8
+
+// deltaSpillReplays is the Exercised sub-count of spill and copy-spill
+// replays, so a campaign shows the spill path was actually replayed.
+const deltaSpillReplays = OracleDelta + ".spills"
+
+// checkDelta holds the reduction loop's candidate scorer to the
+// from-scratch definition of a score:
 //
-//  1. Closure maintenance: after applying a sequencing candidate's edges,
-//     the closure maintained in place by order.Relation.AddClosureEdge must
-//     equal the closure recomputed from the transformed graph.
-//  2. Measurement: for every resource, the warm-started delta measurement
-//     (reuse.Reuse.UpdateClosureInto + measure.ChainsDeltaWidth, seeded
-//     with the committed matching and the pre-candidate hammock levels,
-//     through scratch reused across candidates and resources, exactly as an
-//     evaluator worker runs it) must report the width of a full
-//     from-scratch Measure of the transformed graph, and the updated
-//     relation and kill vector must equal a from-scratch rebuild's. When
-//     UpdateClosureInto declines (register kills shifted), the fallback
-//     must be justified: the recomputed kill vector must actually differ.
-//  3. Selection: a full core.Run with the engine enabled must emit code
-//     byte-identical to a run with Options.DisableIncremental (the
-//     pre-engine reference path), at several worker counts.
-//
-// Candidates are replayed through transform.Candidate.ApplyLog and
-// UndoLog.Revert — the apply/revert cycle the engine runs on its scratch
-// graphs — and every revert must restore the graph fingerprint, since the
-// engine reuses one scratch graph across all of a worker's candidates. On
-// clustered machines the copy-spill candidates are replayed too: the
-// from-scratch measurement of the log-applied graph must match a
-// clone+Apply of the same candidate.
+//   - every core.ScoreCandidates outcome — sequencing, spill and copy-spill
+//     alike — equals clone, Apply, Measure every resource, CriticalPath;
+//   - replayed sequencing candidates: the in-place closure, delta width,
+//     relation and kills equal from-scratch rebuilds, and every declined
+//     delta is justified by a kill shift (checkDeltaCandidate);
+//   - replayed spill and copy-spill candidates, on their own budget, equal
+//     clone+Apply (checkSpillCandidate);
+//   - every UndoLog.Revert restores the graph fingerprint, since the
+//     evaluator reuses one scratch graph across a worker's candidates;
+//   - core.Run emits identical code at one and at four workers.
 //
 // Every target family is covered: clustered register files and
-// exposed-datapath buffers are reuse item sets like any other, and core.Run
-// scores their candidates on the same incremental path.
+// exposed-datapath buffers are reuse item sets like any other.
 func checkDelta(rep *Report, c *Case) {
 	m := c.Mach.Config()
 	g := buildGraph(rep, OracleDelta, c)
@@ -55,6 +48,8 @@ func checkDelta(rep *Report, c *Case) {
 		return
 	}
 	resources := core.Resources(g, m)
+	checkDeltaScores(rep, g, m, resources)
+
 	hammocks := g.Hammocks()
 	levels := g.NestLevels(hammocks)
 	baseReach := g.Reach()
@@ -65,7 +60,7 @@ func checkDelta(rep *Report, c *Case) {
 
 	var log transform.UndoLog
 	var sc deltaScratch
-	applied := 0
+	seqs, spills := 0, 0
 	for _, r := range resources {
 		res := base[r.Name]
 		limits := []int{r.Limit}
@@ -76,7 +71,7 @@ func checkDelta(rep *Report, c *Case) {
 			for _, set := range measure.FindExcess(res, hammocks, limit) {
 				var cands []*transform.Candidate
 				if r.IsRegister {
-					cands = transform.RegSeqCandidates(g, res, set)
+					cands = append(transform.RegSeqCandidates(g, res, set), transform.SpillCandidates(g, res, set)...)
 				} else {
 					cands = transform.FUCandidates(g, res, set)
 				}
@@ -84,8 +79,12 @@ func checkDelta(rep *Report, c *Case) {
 					cands = append(cands, transform.CopySpillCandidates(g, res, set)...)
 				}
 				for _, cand := range cands {
-					if applied >= deltaCandidateLimit {
-						break
+					replayed, maxReplays := &seqs, deltaCandidateLimit
+					if !cand.SeqOnly() {
+						replayed, maxReplays = &spills, deltaSpillLimit
+					}
+					if *replayed >= maxReplays {
+						continue
 					}
 					before := g.Fingerprint()
 					var ref *dag.Graph
@@ -100,12 +99,13 @@ func checkDelta(rep *Report, c *Case) {
 						}
 						continue // inapplicable candidates are allowed to refuse
 					}
-					applied++
+					*replayed++
 					rep.tick(OracleDelta)
 					if cand.SeqOnly() {
 						checkDeltaCandidate(rep, g, resources, base, baseReach, levels, cand, log.Added(), &sc)
 					} else {
-						checkCopySpillCandidate(rep, g, ref, resources, cand)
+						rep.tick(deltaSpillReplays)
+						checkSpillCandidate(rep, g, ref, resources, cand)
 					}
 					log.Revert()
 					if g.Fingerprint() != before {
@@ -118,6 +118,40 @@ func checkDelta(rep *Report, c *Case) {
 	}
 
 	checkDeltaSelection(rep, g, m)
+}
+
+// checkDeltaScores compares every score core.ScoreCandidates returns with
+// the from-scratch score of the same candidate on a clone of g.
+func checkDeltaScores(rep *Report, g *dag.Graph, m *machine.Config, resources []core.Resource) {
+	scores, err := core.ScoreCandidates(g, core.Options{Machine: m, Workers: 1})
+	if err != nil {
+		rep.failf(OracleDelta, "core.ScoreCandidates: %v", err)
+		return
+	}
+	lat := func(n *dag.Node) int { return m.LatencyOf(n.Instr.Op) }
+	for _, s := range scores {
+		rep.tick(OracleDelta)
+		cl := g.Clone()
+		cl.Func = g.Func.Clone()
+		err := s.Candidate.Apply(cl)
+		if s.OK != (err == nil) {
+			rep.failf(OracleDelta, "%s: scored ok=%v, but Apply on a clone returned %v", s.Candidate, s.OK, err)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		excess := 0
+		for _, r := range resources {
+			if d := measure.Measure(r.Build(cl)).Width - r.Limit; d > 0 {
+				excess += d
+			}
+		}
+		if crit := cl.CriticalPath(lat); s.Excess != excess || s.Crit != crit {
+			rep.failf(OracleDelta, "%s: scored excess %d crit %d, from scratch excess %d crit %d",
+				s.Candidate, s.Excess, s.Crit, excess, crit)
+		}
+	}
 }
 
 // deltaScratch is the oracle's counterpart of an evaluator worker's
@@ -191,12 +225,12 @@ func checkDeltaCandidate(rep *Report, g *dag.Graph, resources []core.Resource,
 	}
 }
 
-// checkCopySpillCandidate compares the graph g a copy-spill was just
+// checkSpillCandidate compares the graph g a spill or copy-spill was just
 // applied to through the undo log against ref, a clone of the pre-apply
 // graph, after applying the same candidate to ref with Apply — the commit
 // path. Both must yield the same graph and the same from-scratch
 // measurement of every resource.
-func checkCopySpillCandidate(rep *Report, g, ref *dag.Graph, resources []core.Resource, cand *transform.Candidate) {
+func checkSpillCandidate(rep *Report, g, ref *dag.Graph, resources []core.Resource, cand *transform.Candidate) {
 	if err := cand.Apply(ref); err != nil {
 		rep.failf(OracleDelta, "%s: Apply on a clone failed after ApplyLog succeeded: %v", cand, err)
 		return
@@ -215,45 +249,35 @@ func checkCopySpillCandidate(rep *Report, g, ref *dag.Graph, resources []core.Re
 	}
 }
 
-// checkDeltaSelection runs the full reduction loop with and without the
-// incremental engine (and across worker counts) and requires byte-identical
-// emitted code and identical reports.
+// checkDeltaSelection runs the full reduction loop inline and across
+// worker counts and requires byte-identical emitted code and identical
+// iteration counts.
 func checkDeltaSelection(rep *Report, g *dag.Graph, m *machine.Config) {
-	type variant struct {
-		name string
-		opts core.Options
-	}
-	variants := []variant{
-		{"full", core.Options{Machine: m, DisableIncremental: true, Workers: 1}},
-		{"incremental-j1", core.Options{Machine: m, Workers: 1}},
-		{"incremental-j4", core.Options{Machine: m, Workers: 4}},
-	}
 	var refCode string
 	var refIters int
-	for i, v := range variants {
+	for i, workers := range []int{1, 4} {
 		cl := g.Clone()
 		cl.Func = g.Func.Clone()
-		runRep, err := core.Run(cl, v.opts)
+		runRep, err := core.Run(cl, core.Options{Machine: m, Workers: workers})
 		if err != nil {
-			rep.failf(OracleDelta, "core.Run (%s): %v", v.name, err)
+			rep.failf(OracleDelta, "core.Run (-j%d): %v", workers, err)
 			return
 		}
 		code := ""
 		if runRep.Program != nil {
 			code = runRep.Program.String()
 		}
+		rep.tick(OracleDelta)
 		if i == 0 {
 			refCode, refIters = code, runRep.Iterations
-			rep.tick(OracleDelta)
 			continue
 		}
 		if code != refCode {
-			rep.failf(OracleDelta, "core.Run (%s) emitted different code than (%s)", v.name, variants[0].name)
+			rep.failf(OracleDelta, "core.Run (-j%d) emitted different code than (-j1)", workers)
 		}
 		if runRep.Iterations != refIters {
-			rep.failf(OracleDelta, "core.Run (%s) took %d iterations, (%s) took %d",
-				v.name, runRep.Iterations, variants[0].name, refIters)
+			rep.failf(OracleDelta, "core.Run (-j%d) took %d iterations, (-j1) took %d",
+				workers, runRep.Iterations, refIters)
 		}
-		rep.tick(OracleDelta)
 	}
 }

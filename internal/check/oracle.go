@@ -53,7 +53,8 @@ func (v Violation) String() string { return fmt.Sprintf("[%s] %s", v.Oracle, v.D
 type Report struct {
 	Violations []Violation
 	// Exercised counts individual property checks per oracle, so a run can
-	// prove each oracle actually fired.
+	// prove each oracle actually fired. Keys beyond the oracle names are
+	// sub-counts of one oracle's checks (deltaSpillReplays).
 	Exercised map[string]int
 }
 

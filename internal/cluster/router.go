@@ -467,13 +467,15 @@ func (r *Router) handleCompile(w http.ResponseWriter, req *http.Request) {
 
 // routeCompile places one compile: pick candidates, forward to the
 // owner, and — for requests a cached artifact can answer — hedge against
-// the fleet's peer cache tier when the owner is slow.
+// the fleet's peer cache tier when the owner is slow. An artifact carries
+// blocks and statistics only, so run, gap and loop requests, whose
+// responses add fields the artifact cannot supply, never hedge.
 func (r *Router) routeCompile(ctx context.Context, key string, cr *server.CompileRequest, body []byte) (*upstream, error) {
 	cands := r.candidates(key)
 	if len(cands) == 0 {
 		return nil, errors.New("no routable shard")
 	}
-	hedgeable := !cr.Run && r.cfg.HedgeDelay >= 0 && len(r.names) > 1
+	hedgeable := !cr.Run && !cr.Gap && !cr.Loop && r.cfg.HedgeDelay >= 0 && len(r.names) > 1
 	if !hedgeable {
 		return r.forward(ctx, http.MethodPost, "/v1/compile", body, cands)
 	}

@@ -542,6 +542,24 @@ func TestRouterHedge(t *testing.T) {
 	if got := owner.compiles.Load(); got != 0 {
 		t.Errorf("cancelled owner leg still completed %d compiles", got)
 	}
+
+	// A gap request shares the artifact's cache key, but the artifact
+	// cannot supply the gap report: the router must wait for the owner
+	// rather than answer from the peer tier.
+	owner.mu.Lock()
+	owner.delay = 200 * time.Millisecond
+	owner.mu.Unlock()
+	resp, data = postJSON(t, gw.Client(), gw.URL+"/v1/compile", `{"name": "gapped", "gap": true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("gap request: HTTP %d: %s", resp.StatusCode, data)
+	}
+	if got := router.mHedges.Value(); got != 1 {
+		t.Errorf("hedges = %d after a gap request, want 1 (no new hedge)", got)
+	}
+	if !strings.Contains(string(data), `"machine": "stub"`) || owner.compiles.Load() != 1 {
+		t.Errorf("gap request was not answered by the owner (%d owner compiles): %s",
+			owner.compiles.Load(), data)
+	}
 }
 
 // TestRouterEjectReadmit drives a shard through down → ejected →

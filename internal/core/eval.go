@@ -17,8 +17,7 @@ import (
 // evalOutcome is the measured effect of tentatively applying one candidate:
 // the total over-limit width and the critical path of the transformed
 // graph. ok is false when the candidate turned out inapplicable (its Apply
-// failed), in which case the selection ignores it — exactly as the old
-// clone-and-apply loop skipped candidates whose Apply errored.
+// failed), in which case the selection ignores it.
 type evalOutcome struct {
 	s      scored
 	ok     bool
@@ -43,35 +42,28 @@ type iterState struct {
 // one reusable scratch per worker, and fans candidates out via
 // internal/driver.
 //
-// Two evaluation paths exist:
+// Every candidate, on every target family, is applied to the worker's
+// scratch graph through a reusable transform.UndoLog, measured, and
+// reverted. Sequencing-only candidates update the scratch copy of the
+// closure with order.Relation.AddClosureEdge, rederive each resource's
+// reuse pairs into pooled relation storage (reuse.Reuse.UpdateClosureInto),
+// and warm-start the matching from the committed measurement with a pooled
+// matcher (measure.ChainsDeltaWidth); a register resource whose kill
+// selection shifted is remeasured from scratch instead. Per-cluster
+// register files and exposed-datapath buffers are ordinary reuse item sets,
+// so they take the same delta. Spill and copy-spill payloads — which add
+// nodes and rewrite operands or opcodes, so no cheap delta exists — are
+// measured from scratch through the cache. On sequencing candidates the
+// evaluator allocates nothing in steady state: graphs, closures, relations,
+// matchers, and analysis buffers all reset in place across candidates and
+// across reduction iterations.
 //
-//   - The incremental path (the default, on every target family) applies
-//     the candidate to the worker's scratch graph through a reusable
-//     transform.UndoLog. Sequencing-only candidates then update the scratch
-//     copy of the closure with order.Relation.AddClosureEdge, rederive each
-//     resource's reuse pairs into pooled relation storage
-//     (reuse.Reuse.UpdateClosureInto), and warm-start the matching from the
-//     committed measurement with a pooled matcher
-//     (measure.ChainsDeltaWidth); a register resource whose kill selection
-//     shifted is remeasured from scratch instead. Per-cluster register
-//     files and exposed-datapath buffers are ordinary reuse item sets, so
-//     they take the same delta. Spill and copy-spill payloads — which add
-//     nodes and rewrite operands or opcodes, so no cheap delta exists — are
-//     measured from scratch through the cache and reverted via the same
-//     undo log. On sequencing candidates the path allocates nothing in
-//     steady state: graphs, closures, relations, matchers, and analysis
-//     buffers all reset in place across candidates and across reduction
-//     iterations. The delta oracle in internal/check runs these same
-//     functions against from-scratch measurements on every fuzz case.
-//   - Options.DisableIncremental selects the pre-engine reference path:
-//     clone the graph per candidate, apply, re-measure everything from
-//     scratch. It is kept only as the reference that the delta oracle's
-//     selection check and TestFreshVsPooledEvaluator compare emitted code
-//     and picks against, and as the baseline of the full-path benchmarks.
-//
-// Both paths produce the same widths (a maximum matching is a maximum
-// matching however it is reached), so the selection is bit-identical across
-// paths and across worker counts.
+// Every score equals the from-scratch definition — clone, apply, measure
+// every resource, take the critical path — because a maximum matching is a
+// maximum matching however it is reached; the selection is therefore
+// bit-identical across worker counts. The delta oracle in internal/check
+// holds every ScoreCandidates outcome to that definition on every fuzz
+// case.
 //
 // The evaluator is driven by one goroutine (the reduction loop). The only
 // concurrency is evalAll's fan-out of the current iteration's candidates,
@@ -87,7 +79,7 @@ type evaluator struct {
 	// gen counts committed transformations; it tags which graph state the
 	// memoized iteration state, the closure, and each scratch describe.
 	gen   int
-	reach *order.Relation // committed graph's closure (incremental mode)
+	reach *order.Relation // committed graph's closure
 	// commits[i] records the transformation that moved generation i to i+1,
 	// so stale scratches can replay instead of re-cloning.
 	commits []commitRec
@@ -143,7 +135,7 @@ func newEvaluator(g *dag.Graph, resources []Resource, lat func(*dag.Node) int, o
 	if p := runtime.GOMAXPROCS(0); workers > p {
 		workers = p
 	}
-	e := &evaluator{
+	return &evaluator{
 		g:         g,
 		resources: resources,
 		lat:       lat,
@@ -151,11 +143,8 @@ func newEvaluator(g *dag.Graph, resources []Resource, lat func(*dag.Node) int, o
 		workers:   workers,
 		scratches: make([]*evalScratch, workers),
 		keyIdx:    make(map[transform.CandKey]int),
+		reach:     g.Reach(),
 	}
-	if !opts.DisableIncremental {
-		e.reach = g.Reach()
-	}
-	return e
 }
 
 // state returns the committed iteration state for the current generation,
@@ -195,22 +184,19 @@ func (e *evaluator) commit(c *transform.Candidate) {
 	e.commits = append(e.commits, rec)
 	e.gen++
 	e.st = nil
-	if e.reach != nil {
-		if rec.spill {
-			e.reach = e.g.Reach()
-		} else {
-			for _, ed := range rec.edges {
-				e.reach.AddClosureEdge(ed[0], ed[1])
-			}
-		}
+	if rec.spill {
+		e.reach = e.g.Reach()
+		return
+	}
+	for _, ed := range rec.edges {
+		e.reach.AddClosureEdge(ed[0], ed[1])
 	}
 }
 
 // scratch returns worker w's scratch state, building it on first use and
 // bringing its graph up to the committed generation: sequencing commits are
 // replayed as plain edge insertions; a spill commit (which restructures
-// instructions) forces a fresh clone. Iterations whose candidates all take
-// the full path never pay for clones.
+// instructions) forces a fresh clone.
 func (e *evaluator) scratch(w int) *evalScratch {
 	sc := e.scratches[w]
 	if sc == nil {
@@ -246,8 +232,8 @@ func (e *evaluator) scratch(w int) *evalScratch {
 // evalAll scores every candidate and returns the outcomes in candidate
 // order. Candidates with identical effect (equal transform.Candidate key)
 // are measured once and share the measurement; the returned slice still
-// carries one entry per input candidate so the selection sort ranks exactly
-// the sequence the pre-engine code ranked, ties included.
+// carries one entry per input candidate so the selection sort ranks every
+// candidate, ties included.
 func (e *evaluator) evalAll(cands []scored) ([]evalOutcome, error) {
 	st := e.state()
 
@@ -277,19 +263,14 @@ func (e *evaluator) evalAll(cands []scored) ([]evalOutcome, error) {
 	start := time.Now()
 	_, _, err := driver.MapWorkers(len(e.uniq), func(w, j int) (struct{}, error) {
 		t0 := time.Now()
-		s := cands[e.uniq[j]]
-		if e.opts.DisableIncremental {
-			outs[j] = e.evalFull(s)
-		} else {
-			outs[j] = e.evalIncremental(e.scratch(w), st, s)
-		}
+		outs[j] = e.evalIncremental(e.scratch(w), st, cands[e.uniq[j]])
 		e.batchNs.Add(int64(time.Since(t0)))
 		return struct{}{}, nil
 	}, driver.Options{Workers: e.workers, KeepGoing: true})
 	if err != nil {
 		// Jobs never return errors themselves; this is a recovered panic
-		// from a measurement, which the old inline loop would have
-		// propagated. Do the same instead of silently dropping candidates.
+		// from a measurement. Propagate it instead of silently dropping
+		// candidates.
 		return nil, err
 	}
 	if n := len(e.uniq); n > 0 {
@@ -377,26 +358,6 @@ func (e *evaluator) evalIncremental(sc *evalScratch, st *iterState, s scored) ev
 		}
 	}
 	crit := sc.g.CriticalPathLen(e.lat, &sc.topo)
-	return evalOutcome{s: s, ok: true, excess: excess, crit: crit}
-}
-
-// evalFull scores a candidate the pre-engine way: clone, apply, re-measure
-// everything from scratch. Kept as the reference implementation for the
-// differential delta oracle and the full-path benchmarks.
-func (e *evaluator) evalFull(s scored) evalOutcome {
-	cl := e.g.Clone()
-	cl.Func = e.g.Func.Clone()
-	if err := s.cand.Apply(cl); err != nil {
-		return evalOutcome{s: s}
-	}
-	excess := 0
-	for _, r := range e.resources {
-		res := e.opts.Cache.Measure(cl, r.Name, r.Build)
-		if d := res.Width - r.Limit; d > 0 {
-			excess += d
-		}
-	}
-	crit := cl.CriticalPath(e.lat)
 	return evalOutcome{s: s, ok: true, excess: excess, crit: crit}
 }
 

@@ -7,37 +7,11 @@ import (
 	"testing"
 
 	"ursa/internal/dag"
-	"ursa/internal/ir"
 	"ursa/internal/machine"
 	"ursa/internal/measure"
 	"ursa/internal/target"
+	"ursa/internal/transform"
 )
-
-// runVariant compiles a private clone of f under opts and returns the
-// report. Each variant gets its own Func and cache so spill-reload register
-// names and memoized measurements cannot leak between the runs being
-// compared. On clustered machines the block is partitioned first, as the
-// pipeline does, so inter-cluster copies and copy-spill candidates exist.
-func runVariant(t *testing.T, f *ir.Func, opts Options, style scoreStyle) *Report {
-	t.Helper()
-	cl := f.Clone()
-	if _, err := target.Clusterize(cl.Blocks[0], opts.Machine); err != nil {
-		t.Fatalf("Clusterize: %v", err)
-	}
-	g, err := dag.Build(cl.Blocks[0])
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	opts.Cache = measure.NewCache()
-	rep, err := runOnce(g, opts, style, iterBound(g))
-	if err != nil {
-		t.Fatalf("runOnce: %v", err)
-	}
-	if err := g.Check(); err != nil {
-		t.Fatalf("invalid graph after run: %v", err)
-	}
-	return rep
-}
 
 func reportsEqual(a, b *Report) string {
 	if !reflect.DeepEqual(a.Applied, b.Applied) {
@@ -57,16 +31,33 @@ func reportsEqual(a, b *Report) string {
 	return ""
 }
 
+// scratchScore is the from-scratch definition of a candidate's score:
+// clone the graph, Apply the candidate, measure every resource on a fresh
+// reuse build, and take the critical path.
+func scratchScore(g *dag.Graph, resources []Resource, lat func(*dag.Node) int, c *transform.Candidate) (ok bool, excess, crit int) {
+	cl := g.Clone()
+	cl.Func = g.Func.Clone()
+	if err := c.Apply(cl); err != nil {
+		return false, 0, 0
+	}
+	for _, r := range resources {
+		if d := measure.Measure(r.Build(cl)).Width - r.Limit; d > 0 {
+			excess += d
+		}
+	}
+	return true, excess, cl.CriticalPath(lat)
+}
+
 // TestFreshVsPooledEvaluator: over 500 fuzzed blocks, machines, and
-// tie-break styles, the pooled incremental evaluator (persistent scratch
-// arenas, slab relations, warm-started matchers) commits exactly the same
-// transformation sequence as the fresh clone-per-candidate reference path
-// (DisableIncremental). This is the contract that lets every pool reset
-// protocol change land without re-auditing the reduction loop: any missed
-// reset or stale arena state shows up as a diverged Applied sequence. The
-// machines span every target family the evaluator serves — classic,
-// clustered (per-cluster register files, the copy bus, copy-spills), and
-// buffered exposed datapath.
+// tie-break styles, drive one pooled evaluator (persistent scratch arenas,
+// slab relations, warm-started matchers) through the reduction loop's
+// commits, and hold every candidate outcome of every iteration to the
+// from-scratch definition. This is the contract that lets every pool reset
+// protocol change land without re-auditing the reduction loop: a missed
+// reset or stale arena state after a sequencing or spill commit shows up
+// as a wrong score. The machines span every target family the evaluator
+// serves — classic, clustered (per-cluster register files, the copy bus,
+// copy-spills), and buffered exposed datapath.
 func TestFreshVsPooledEvaluator(t *testing.T) {
 	trials := 500
 	if testing.Short() || raceEnabled {
@@ -80,15 +71,69 @@ func TestFreshVsPooledEvaluator(t *testing.T) {
 		machine.ExposedDatapath(2, 4, 1), machine.ExposedDatapath(2, 6, 1), machine.ExposedDatapath(4, 6, 2),
 	}
 	styles := []scoreStyle{styleDefault, styleAggressive, styleSpillFirst}
+	scored, spills := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		f := randomBlock(rng, 6+rng.Intn(16))
 		m := machines[rng.Intn(len(machines))]
 		style := styles[trial%len(styles)]
 
-		fresh := runVariant(t, f, Options{Machine: m, Workers: 1, DisableIncremental: true}, style)
-		pooled := runVariant(t, f, Options{Machine: m, Workers: 1}, style)
-		if diff := reportsEqual(fresh, pooled); diff != "" {
-			t.Fatalf("trial %d (%s, style %d): %s", trial, m.Name, style, diff)
+		// Partition first on clustered machines, as the pipeline does, so
+		// inter-cluster copies and copy-spill candidates exist.
+		if _, err := target.Clusterize(f.Blocks[0], m); err != nil {
+			t.Fatalf("Clusterize: %v", err)
+		}
+		g, err := dag.Build(f.Blocks[0])
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		opts := Options{Machine: m, Workers: 1, Cache: measure.NewCache()}
+		resources := Resources(g, m)
+		lat := func(n *dag.Node) int { return m.LatencyOf(n.Instr.Op) }
+		ev := newEvaluator(g, resources, lat, &opts)
+
+		// The reduction loop's single-phase commit sequence: best strict
+		// improvement, else a budgeted plateau spill.
+		plateau := 4
+		for iter := 0; iter < iterBound(g); iter++ {
+			st := ev.state()
+			if st.excess == 0 {
+				break
+			}
+			cands := collectCandidates(g, resources, st.results, opts, st.hammocks)
+			outs, err := ev.evalAll(cands)
+			if err != nil {
+				t.Fatalf("trial %d iter %d: %v", trial, iter, err)
+			}
+			for _, o := range outs {
+				ok, excess, crit := scratchScore(g, resources, lat, o.s.cand)
+				if o.ok != ok || (ok && (o.excess != excess || o.crit != crit)) {
+					t.Fatalf("trial %d (%s, style %d) iter %d: %s scored ok=%v excess=%d crit=%d, from scratch ok=%v excess=%d crit=%d",
+						trial, m.Name, style, iter, o.s.cand, o.ok, o.excess, o.crit, ok, excess, crit)
+				}
+				scored++
+				if !o.s.cand.SeqOnly() {
+					spills++
+				}
+			}
+			best, _, improved := pickBest(outs, st.excess, style)
+			if !improved && plateau > 0 {
+				best, _, improved = pickPlateau(outs, st.excess)
+				plateau--
+			}
+			if !improved {
+				break
+			}
+			if err := best.cand.Apply(g); err != nil {
+				t.Fatalf("trial %d iter %d: committing %s: %v", trial, iter, best.cand, err)
+			}
+			ev.commit(best.cand)
+		}
+		if err := g.Check(); err != nil {
+			t.Fatalf("trial %d: invalid graph after the commits: %v", trial, err)
 		}
 	}
+	if spills == 0 {
+		t.Fatal("no spill or copy-spill candidate was scored; the sweep needs retuning")
+	}
+	t.Logf("%d candidate scores checked, %d of them spills or copy-spills", scored, spills)
 }

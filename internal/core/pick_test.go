@@ -152,8 +152,8 @@ func TestPlateauMovesAreSpillsAndBounded(t *testing.T) {
 
 // TestStyleDeterminismAcrossWorkers: for every tie-break style, the full
 // applied-transformation sequence is identical whether candidates are
-// evaluated inline, across 4 or 8 workers, or by the pre-engine
-// full-remeasure path — the engine changes cost only, never choice. The
+// evaluated inline or across 4 or 8 workers — the fan-out changes cost
+// only, never choice. The
 // evaluator caps its pool at GOMAXPROCS, so the test forces it to 4: on a
 // one-CPU host the -j 4/-j 8 variants would otherwise evaluate inline. Run
 // under -race this also sweeps the candidate fan-out — per-worker scratch
@@ -173,7 +173,6 @@ func TestStyleDeterminismAcrossWorkers(t *testing.T) {
 					{Machine: m, Workers: 1},
 					{Machine: m, Workers: 4},
 					{Machine: m, Workers: 8},
-					{Machine: m, Workers: 1, DisableIncremental: true},
 				}
 				var ref *Report
 				for vi, opts := range variants {

@@ -79,12 +79,6 @@ type Options struct {
 	// outcomes are collected by candidate index and ranked by a
 	// deterministic sort.
 	Workers int
-	// DisableIncremental reverts candidate scoring to the pre-engine
-	// behavior: clone the graph per candidate and re-measure every
-	// resource from scratch. Kept as the reference implementation for the
-	// differential delta oracle and as the baseline the reduction-loop
-	// benchmarks compare against.
-	DisableIncremental bool
 }
 
 // A Resource pairs a reuse-structure builder with its machine limit.
@@ -589,8 +583,8 @@ func collectCandidates(g *dag.Graph, group []Resource, results map[string]*measu
 // when no candidate strictly reduces total excess. The tentative
 // application and measurement happen beforehand in evaluator.evalAll —
 // concurrently, on per-worker scratch graphs — but the ranking here sees
-// the outcomes in candidate order, so the winner is the same one the old
-// inline clone-apply-measure loop picked.
+// the outcomes in candidate order, so the winner does not depend on the
+// worker count.
 func pickBest(evals []evalOutcome, curExcess int, style scoreStyle) (scored, int, bool) {
 	type outcome struct {
 		s      scored

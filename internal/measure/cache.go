@@ -87,18 +87,6 @@ func NewCacheBudget(budget int64) *Cache {
 	}
 }
 
-// SetBudget changes the byte budget, evicting immediately if the cache
-// already exceeds it.
-func (c *Cache) SetBudget(budget int64) {
-	if c == nil || budget <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.budget = budget
-	c.evictLocked()
-	c.mu.Unlock()
-}
-
 // Measure returns the measurement of the named resource on the graph,
 // reusing a cached result when the graph's fingerprint and resource match
 // a previous call. On a miss, build constructs the resource's reuse

@@ -185,30 +185,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCacheSetBudget: shrinking the budget evicts immediately.
-func TestCacheSetBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	c := NewCache()
-	for i := 0; i < 4; i++ {
-		f := workload.RandomBlock(rng, 28+i, 0.3)
-		g, err := dag.Build(f.Blocks[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Measure(g, "fu", buildFU)
-	}
-	if c.Len() != 4 {
-		t.Fatalf("have %d entries, want 4", c.Len())
-	}
-	c.SetBudget(1)
-	if n, _ := c.Entries(); n != 1 {
-		t.Fatalf("after SetBudget(1): %d entries, want 1 (the MRU survivor)", n)
-	}
-	if c.Evictions() != 3 {
-		t.Fatalf("evictions = %d, want 3", c.Evictions())
-	}
-}
-
 // TestCacheSingleFlight: concurrent misses on one key run the build
 // exactly once; every caller gets the same shared result.
 func TestCacheSingleFlight(t *testing.T) {
