@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"ursa/internal/cache"
 	"ursa/internal/metrics"
 	"ursa/internal/server"
 	"ursa/internal/store"
@@ -82,7 +83,7 @@ type Router struct {
 	backs map[string]*backend
 	names []string // sorted, fixed at construction
 
-	flight store.Flight
+	flight cache.Flight[string, []byte]
 	stop   chan struct{}
 	done   chan struct{}
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"sync"
 
+	"ursa/internal/cache"
 	"ursa/internal/dag"
 	"ursa/internal/reuse"
 )
@@ -24,45 +25,23 @@ import (
 // ids are content-determined, so a Result computed on one clone of a graph
 // is valid verbatim for any other clone with equal fingerprint.
 //
-// Memory is bounded by a byte budget: entries are evicted least recently
-// used, one at a time, so a long-lived server process keeps its hot
-// working set instead of periodically dropping everything.
-//
-// A Cache is safe for concurrent use. Concurrent misses of the same key
-// coalesce: one goroutine builds the reuse structure and measures, the
-// rest wait and share its result — under the parallel candidate evaluator
-// N workers hitting one fresh fingerprint cost one O(N³) matching, not N.
+// A Cache is safe for concurrent use, and concurrent misses of one key run
+// build once. Memory is bounded by a byte budget. A result whose estimated
+// size exceeds the whole budget is returned but not retained, and nothing
+// is evicted for it. A build that panics releases its key: callers waiting
+// on it re-panic with the same value, and the next Measure builds afresh.
 type Cache struct {
-	mu         sync.Mutex
-	entries    map[cacheKey]*cacheEntry
-	head, tail *cacheEntry // LRU list, head = most recently used
-	bytes      int64       // approximate retained bytes across entries
-	budget     int64
-	hits       uint64
-	misses     uint64
-	evictions  uint64
-	coalesced  uint64
-	flight     map[cacheKey]*flightCall
+	mu        sync.Mutex
+	lru       *cache.LRU[cacheKey, *Result]
+	hits      uint64
+	misses    uint64
+	coalesced uint64
+	flight    cache.Flight[cacheKey, *Result]
 }
 
 type cacheKey struct {
 	resource string
 	graph    [sha256.Size]byte
-}
-
-// cacheEntry is one memoized measurement, threaded on the LRU list.
-type cacheEntry struct {
-	key        cacheKey
-	res        *Result
-	bytes      int64
-	prev, next *cacheEntry
-}
-
-// flightCall is one in-progress measurement that concurrent misses of the
-// same key wait on.
-type flightCall struct {
-	done chan struct{}
-	res  *Result
 }
 
 // DefaultBudget bounds the cache's approximate retained bytes when
@@ -80,11 +59,7 @@ func NewCacheBudget(budget int64) *Cache {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	return &Cache{
-		entries: make(map[cacheKey]*cacheEntry),
-		budget:  budget,
-		flight:  make(map[cacheKey]*flightCall),
-	}
+	return &Cache{lru: cache.NewLRU[cacheKey, *Result](budget, nil)}
 }
 
 // Measure returns the measurement of the named resource on the graph,
@@ -98,87 +73,36 @@ func (c *Cache) Measure(g *dag.Graph, resource string, build func(*dag.Graph) *r
 	}
 	key := cacheKey{resource: resource, graph: g.Fingerprint()}
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+	res, ok := c.lru.Get(key)
+	if ok {
 		c.hits++
-		c.moveFront(e)
-		c.mu.Unlock()
-		return e.res
+	} else {
+		c.misses++
 	}
-	c.misses++
-	if fc, ok := c.flight[key]; ok {
-		// Another goroutine is already building this measurement; wait
-		// for it rather than duplicating the O(N³) matching.
+	c.mu.Unlock()
+	if ok {
+		return res
+	}
+	res, _, leader := c.flight.Do(key, func() (*Result, error) {
+		// A previous leader may have stored the result between our
+		// miss and acquiring the flight slot.
+		c.mu.Lock()
+		res, ok := c.lru.Get(key)
+		c.mu.Unlock()
+		if !ok {
+			res = Measure(build(g))
+			c.mu.Lock()
+			c.lru.Put(key, res, approxResultBytes(res))
+			c.mu.Unlock()
+		}
+		return res, nil
+	})
+	if !leader {
+		c.mu.Lock()
 		c.coalesced++
 		c.mu.Unlock()
-		<-fc.done
-		return fc.res
 	}
-	fc := &flightCall{done: make(chan struct{})}
-	c.flight[key] = fc
-	c.mu.Unlock()
-
-	res := Measure(build(g))
-
-	c.mu.Lock()
-	fc.res = res
-	delete(c.flight, key)
-	if _, dup := c.entries[key]; !dup {
-		e := &cacheEntry{key: key, res: res, bytes: approxResultBytes(res)}
-		c.entries[key] = e
-		c.pushFront(e)
-		c.bytes += e.bytes
-		c.evictLocked()
-	}
-	c.mu.Unlock()
-	close(fc.done)
 	return res
-}
-
-// evictLocked drops least-recently-used entries until the cache fits its
-// budget, always keeping the most recent entry so a single oversized
-// measurement still caches. Called with c.mu held.
-func (c *Cache) evictLocked() {
-	for c.bytes > c.budget && c.tail != nil && c.tail != c.head {
-		e := c.tail
-		c.unlink(e)
-		delete(c.entries, e.key)
-		c.bytes -= e.bytes
-		c.evictions++
-	}
-}
-
-func (c *Cache) pushFront(e *cacheEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *Cache) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *Cache) moveFront(e *cacheEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
 }
 
 // approxResultBytes estimates the memory a cached Result retains: the two
@@ -217,7 +141,7 @@ func (c *Cache) Evictions() uint64 {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.evictions
+	return c.lru.Evictions()
 }
 
 // Coalesced reports how many misses waited on a concurrent identical
@@ -247,5 +171,5 @@ func (c *Cache) Entries() (entries int, bytes int64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries), c.bytes
+	return c.lru.Len(), c.lru.Bytes()
 }

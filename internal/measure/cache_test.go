@@ -238,3 +238,36 @@ func TestCacheSingleFlight(t *testing.T) {
 		t.Fatal("no coalesced waits recorded")
 	}
 }
+
+// TestCachePanicReleasesKey: a build that panics reaches its caller as a
+// panic and does not wedge the key — the next Measure of the same graph
+// and resource builds and returns instead of waiting forever on the dead
+// leader.
+func TestCachePanicReleasesKey(t *testing.T) {
+	g, err := dag.Build(workload.PaperExample(false).Blocks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache()
+	func() {
+		defer func() {
+			if r := recover(); r != "build bug" {
+				t.Fatalf("recovered %v; want the build's panic value", r)
+			}
+		}()
+		c.Measure(g, "fu", func(*dag.Graph) *reuse.Reuse { panic("build bug") })
+	}()
+	done := make(chan *Result, 1)
+	go func() { done <- c.Measure(g, "fu", buildFU) }()
+	select {
+	case res := <-done:
+		if want := Measure(buildFU(g)); res.Width != want.Width {
+			t.Fatalf("width after the panic = %d; want %d", res.Width, want.Width)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Measure after a panicking build hung: the key is still in flight")
+	}
+	if c.Len() != 1 {
+		t.Fatalf("cache has %d entries, want 1", c.Len())
+	}
+}

@@ -33,6 +33,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"ursa/internal/cache"
 )
 
 // hashSize is the length of the integrity header preceding every payload.
@@ -61,27 +63,16 @@ type Store struct {
 	dir    string
 	budget int64
 
-	mu      sync.Mutex
-	index   map[string]*diskEntry
-	lruHead *diskEntry // most recently used
-	lruTail *diskEntry // least recently used
-	bytes   int64
-	stats   StoreStats
-
-	flight Flight
-}
-
-// diskEntry is one artifact's index record, threaded on the LRU list.
-type diskEntry struct {
-	key        string
-	size       int64 // file size (header + payload)
-	prev, next *diskEntry
+	mu    sync.Mutex
+	index *cache.LRU[string, int64] // key → file size (header + payload)
+	stats StoreStats
 }
 
 // Open opens (creating if needed) a store rooted at dir with the given
 // byte budget (<= 0 means DefaultDiskBudget). Stray temporary files from
 // a crashed writer are removed; existing artifacts are indexed with their
-// modification time as the initial recency order.
+// modification time as the initial recency order, and one larger than the
+// whole budget is removed.
 func Open(dir string, budget int64) (*Store, error) {
 	if budget <= 0 {
 		budget = DefaultDiskBudget
@@ -100,7 +91,8 @@ func Open(dir string, budget int64) (*Store, error) {
 			_ = os.Remove(filepath.Join(tmp, n.Name()))
 		}
 	}
-	s := &Store{dir: dir, budget: budget, index: make(map[string]*diskEntry)}
+	s := &Store{dir: dir, budget: budget}
+	s.index = cache.NewLRU(budget, func(key string, _ int64) { _ = os.Remove(s.path(key)) })
 	if err := s.load(); err != nil {
 		return nil, err
 	}
@@ -141,12 +133,10 @@ func (s *Store) load() error {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].mtime < all[j].mtime })
 	for _, f := range all {
-		e := &diskEntry{key: f.key, size: f.size}
-		s.index[f.key] = e
-		s.pushFront(e)
-		s.bytes += f.size
+		if !s.index.Put(f.key, f.size, f.size) {
+			_ = os.Remove(s.path(f.key))
+		}
 	}
-	s.evictLocked()
 	return nil
 }
 
@@ -174,65 +164,6 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, "objects", key[:2], key)
 }
 
-// ---------------------------------------------------------------- LRU list
-
-func (s *Store) pushFront(e *diskEntry) {
-	e.prev = nil
-	e.next = s.lruHead
-	if s.lruHead != nil {
-		s.lruHead.prev = e
-	}
-	s.lruHead = e
-	if s.lruTail == nil {
-		s.lruTail = e
-	}
-}
-
-func (s *Store) unlink(e *diskEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.lruHead = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.lruTail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *Store) touch(e *diskEntry) {
-	if s.lruHead == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
-
-// evictLocked removes least-recently-used artifacts until the store fits
-// its byte budget. Called with s.mu held.
-func (s *Store) evictLocked() {
-	for s.bytes > s.budget && s.lruTail != nil {
-		e := s.lruTail
-		s.unlink(e)
-		delete(s.index, e.key)
-		s.bytes -= e.size
-		s.stats.Evictions++
-		_ = os.Remove(s.path(e.key))
-	}
-}
-
-// dropLocked removes one entry from the index (corruption or external
-// deletion). Called with s.mu held.
-func (s *Store) dropLocked(key string) {
-	if e, ok := s.index[key]; ok {
-		s.unlink(e)
-		delete(s.index, key)
-		s.bytes -= e.size
-	}
-}
-
 // ------------------------------------------------------------------ Get
 
 // Get returns the artifact stored under key. Any integrity failure —
@@ -243,20 +174,18 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	s.mu.Lock()
-	e, ok := s.index[key]
-	if !ok {
+	if _, ok := s.index.Get(key); !ok {
 		s.stats.Misses++
 		s.mu.Unlock()
 		return nil, false
 	}
-	s.touch(e)
 	s.mu.Unlock()
 
 	raw, err := os.ReadFile(s.path(key))
 	if err != nil {
 		// Evicted or externally deleted between lookup and read.
 		s.mu.Lock()
-		s.dropLocked(key)
+		s.index.Remove(key)
 		s.stats.Misses++
 		s.mu.Unlock()
 		return nil, false
@@ -265,7 +194,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	if !ok {
 		_ = os.Remove(s.path(key))
 		s.mu.Lock()
-		s.dropLocked(key)
+		s.index.Remove(key)
 		s.stats.Corruptions++
 		s.stats.Misses++
 		s.mu.Unlock()
@@ -299,16 +228,6 @@ func Frame(data []byte) []byte {
 	return append(out, data...)
 }
 
-// GetFramed returns the verified artifact under key in framed form
-// (integrity hash + payload) — what the peer protocol serves on the wire.
-func (s *Store) GetFramed(key string) ([]byte, bool) {
-	payload, ok := s.Get(key)
-	if !ok {
-		return nil, false
-	}
-	return Frame(payload), true
-}
-
 // ------------------------------------------------------------------ Put
 
 // Put stores data under key, atomically: the bytes land in a temp file
@@ -335,18 +254,8 @@ func (s *Store) Put(key string, data []byte) error {
 		return err
 	}
 	s.mu.Lock()
-	if e, ok := s.index[key]; ok {
-		s.bytes += size - e.size
-		e.size = size
-		s.touch(e)
-	} else {
-		e := &diskEntry{key: key, size: size}
-		s.index[key] = e
-		s.pushFront(e)
-		s.bytes += size
-	}
+	s.index.Put(key, size, size)
 	s.stats.Puts++
-	s.evictLocked()
 	s.mu.Unlock()
 	return nil
 }
@@ -381,30 +290,6 @@ func (s *Store) write(key string, data []byte) error {
 	return nil
 }
 
-// GetOrCompute returns the artifact under key, computing and storing it
-// on a miss. Concurrent calls for the same key coalesce: one caller runs
-// compute, the rest wait and share its result. A compute error is
-// returned to every waiter and nothing is stored.
-func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) ([]byte, error) {
-	if data, ok := s.Get(key); ok {
-		return data, nil
-	}
-	data, err, _ := s.flight.Do(key, func() ([]byte, error) {
-		// Re-check: a previous leader may have stored the artifact
-		// between our miss and acquiring the flight slot.
-		if data, ok := s.Get(key); ok {
-			return data, nil
-		}
-		data, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		_ = s.Put(key, data)
-		return data, nil
-	})
-	return data, err
-}
-
 // Stats returns a snapshot of the store's counters and contents.
 func (s *Store) Stats() StoreStats {
 	if s == nil {
@@ -413,17 +298,8 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Entries = len(s.index)
-	st.Bytes = s.bytes
+	st.Evictions = s.index.Evictions()
+	st.Entries = s.index.Len()
+	st.Bytes = s.index.Bytes()
 	return st
-}
-
-// Len returns the number of stored artifacts.
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -220,54 +218,51 @@ func TestStoreKeyValidation(t *testing.T) {
 	}
 }
 
-// TestStoreSingleFlight: concurrent GetOrCompute calls for one key run the
-// compute function exactly once.
-func TestStoreSingleFlight(t *testing.T) {
-	s, _ := openStore(t, 0)
-	var computes atomic.Int64
-	gate := make(chan struct{})
-	const workers = 8
-	var wg sync.WaitGroup
-	results := make([][]byte, workers)
-	for i := 0; i < workers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-gate
-			data, err := s.GetOrCompute(key(1), func() ([]byte, error) {
-				computes.Add(1)
-				return []byte("computed once"), nil
-			})
-			if err != nil {
-				t.Errorf("GetOrCompute: %v", err)
-			}
-			results[i] = data
-		}()
+// TestStoreComputeErrorNotCached: a failed compute reaches the caller and
+// leaves nothing behind in any tier, so the next call retries.
+func TestStoreComputeErrorNotCached(t *testing.T) {
+	disk, _ := openStore(t, 0)
+	tc := NewTiered(0, disk, nil)
+	boom := fmt.Errorf("compute failed")
+	if _, _, err := tc.GetOrComputeCtx(ctx, key(1), func() ([]byte, error) { return nil, boom }); err == nil {
+		t.Fatal("compute error swallowed")
 	}
-	close(gate)
-	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("compute ran %d times; want 1", n)
+	if st := disk.Stats(); st.Entries != 0 {
+		t.Fatalf("failed compute stored %d artifacts on disk", st.Entries)
 	}
-	for i, r := range results {
-		if string(r) != "computed once" {
-			t.Fatalf("worker %d got %q", i, r)
-		}
+	data, tier, err := tc.GetOrComputeCtx(ctx, key(1), func() ([]byte, error) { return []byte("retry"), nil })
+	if err != nil || tier != TierNone || string(data) != "retry" {
+		t.Fatalf("retry = %q, tier %v, err %v", data, tier, err)
 	}
 }
 
-// TestStoreComputeErrorNotCached: a failed compute reaches the caller and
-// leaves nothing behind, so the next call retries.
-func TestStoreComputeErrorNotCached(t *testing.T) {
-	s, _ := openStore(t, 0)
-	boom := fmt.Errorf("compute failed")
-	if _, err := s.GetOrCompute(key(1), func() ([]byte, error) { return nil, boom }); err == nil {
-		t.Fatal("compute error swallowed")
+// TestStoreOpenRemovesOversizedArtifact: an artifact file already larger
+// than the whole budget when the store opens is removed from disk, not
+// left behind unindexed; files that fit stay indexed.
+func TestStoreOpenRemovesOversizedArtifact(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
 	}
-	data, err := s.GetOrCompute(key(1), func() ([]byte, error) { return []byte("retry"), nil })
-	if err != nil || string(data) != "retry" {
-		t.Fatalf("retry = %q, %v", data, err)
+	if err := s.Put(key(1), []byte("small")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if err := s.Put(key(2), bytes.Repeat([]byte("z"), 1024)); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	s2, err := Open(dir, 256)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if _, err := os.Stat(s2.path(key(2))); !os.IsNotExist(err) {
+		t.Fatalf("oversized artifact file survived Open: stat err = %v", err)
+	}
+	if st := s2.Stats(); st.Entries != 1 || st.Bytes != int64(len("small")+hashSize) {
+		t.Fatalf("stats after reopen = %+v; want only the small artifact", st)
+	}
+	if got, ok := s2.Get(key(1)); !ok || string(got) != "small" {
+		t.Fatalf("small artifact lost across reopen: %q, %v", got, ok)
 	}
 }
 
@@ -295,7 +290,7 @@ func TestNilStoreIsMissOnly(t *testing.T) {
 	if err := s.Put(key(1), []byte("x")); err != nil {
 		t.Fatalf("nil store Put errored: %v", err)
 	}
-	if s.Len() != 0 || s.Stats().Entries != 0 {
+	if s.Stats().Entries != 0 {
 		t.Fatal("nil store has entries")
 	}
 }

@@ -3,6 +3,8 @@ package store
 import (
 	"context"
 	"sync"
+
+	"ursa/internal/cache"
 )
 
 // Tier identifies which cache layer served (or failed to serve) a lookup.
@@ -62,15 +64,17 @@ type TierStats struct {
 // front to back; stores write through every configured tier. All methods
 // are safe for concurrent use, and every tier failure degrades to a miss.
 type TieredCache struct {
-	mem  *memCache
 	disk *Store
 	peer *PeerClient
 
 	mu        sync.Mutex
+	mem       *cache.LRU[string, []byte] // immutable payloads; callers must not mutate them
+	memHits   uint64
+	memMisses uint64
 	computes  uint64
 	coalesced uint64
 
-	flight Flight
+	flight cache.Flight[string, []byte]
 }
 
 // NewTiered assembles a cache from its tiers. memBudget <= 0 means
@@ -79,52 +83,47 @@ func NewTiered(memBudget int64, disk *Store, peer *PeerClient) *TieredCache {
 	if memBudget <= 0 {
 		memBudget = DefaultMemBudget
 	}
-	return &TieredCache{mem: newMemCache(memBudget), disk: disk, peer: peer}
+	return &TieredCache{mem: cache.NewLRU[string, []byte](memBudget, nil), disk: disk, peer: peer}
 }
 
 // Disk returns the disk tier, or nil.
 func (t *TieredCache) Disk() *Store { return t.disk }
 
-// Get looks the key up tier by tier, reporting which tier answered. A
-// disk hit refills memory; a peer hit refills disk and memory.
-func (t *TieredCache) Get(key string) ([]byte, Tier, bool) {
-	return t.GetCtx(context.Background(), key)
-}
-
-// GetCtx is Get under a caller context: the peer round-trip (the only
-// tier that leaves the process) is cancelled when ctx is, so a cancelled
-// compile request stops waiting on a slow peer instead of burning the
-// full peer timeout.
+// GetCtx looks the key up tier by tier, reporting which tier answered. A
+// disk hit refills memory; a peer hit refills disk and memory. The peer
+// round-trip (the only tier that leaves the process) is cancelled when ctx
+// is, so a cancelled compile request stops waiting on a slow peer instead
+// of burning the full peer timeout.
 func (t *TieredCache) GetCtx(ctx context.Context, key string) ([]byte, Tier, bool) {
 	if t == nil {
 		return nil, TierNone, false
 	}
-	if data, ok := t.mem.get(key); ok {
+	if data, ok := t.memGet(key); ok {
 		return data, TierMem, true
 	}
 	if data, ok := t.disk.Get(key); ok {
-		t.mem.put(key, data)
+		t.memPut(key, data)
 		return data, TierDisk, true
 	}
 	if data, ok := t.peer.GetCtx(ctx, key); ok {
 		_ = t.disk.Put(key, data)
-		t.mem.put(key, data)
+		t.memPut(key, data)
 		return data, TierPeer, true
 	}
 	return nil, TierNone, false
 }
 
-// LocalGet is Get without the peer tier — what the /v1/cache handler
+// LocalGet is GetCtx without the peer tier — what the /v1/cache handler
 // serves, so peers never chain lookups through each other.
 func (t *TieredCache) LocalGet(key string) ([]byte, bool) {
 	if t == nil {
 		return nil, false
 	}
-	if data, ok := t.mem.get(key); ok {
+	if data, ok := t.memGet(key); ok {
 		return data, true
 	}
 	if data, ok := t.disk.Get(key); ok {
-		t.mem.put(key, data)
+		t.memPut(key, data)
 		return data, true
 	}
 	return nil, false
@@ -137,7 +136,7 @@ func (t *TieredCache) Put(key string, data []byte) {
 	if t == nil {
 		return
 	}
-	t.mem.put(key, data)
+	t.memPut(key, data)
 	_ = t.disk.Put(key, data)
 	t.peer.Put(key, data)
 }
@@ -148,23 +147,19 @@ func (t *TieredCache) LocalPut(key string, data []byte) {
 	if t == nil {
 		return
 	}
-	t.mem.put(key, data)
+	t.memPut(key, data)
 	_ = t.disk.Put(key, data)
 }
 
-// GetOrCompute returns the artifact under key, trying every tier before
-// computing. Concurrent misses on one key coalesce: one caller computes,
-// stores through the tiers, and the rest share the result (reported as
-// TierFlight). A compute error reaches every coalesced caller and is
-// never cached.
-func (t *TieredCache) GetOrCompute(key string, compute func() ([]byte, error)) ([]byte, Tier, error) {
-	return t.GetOrComputeCtx(context.Background(), key, compute)
-}
-
-// GetOrComputeCtx is GetOrCompute with the lookup's peer leg under ctx.
-// The write-through after a compute intentionally stays on the background
-// context: once the result exists it should reach every tier even if the
-// requesting client has gone away.
+// GetOrComputeCtx returns the artifact under key, trying every tier
+// before computing. Concurrent misses on one key coalesce: one caller
+// computes, stores through the tiers, and the rest share the result
+// (reported as TierFlight). A compute error reaches every coalesced caller
+// and is never cached; a compute panic re-panics in every coalesced caller
+// and releases the key, so the next call computes again. Only the lookup's
+// peer leg runs under ctx. The write-through after a compute intentionally
+// stays on the background context: once the result exists it should
+// reach every tier even if the requesting client has gone away.
 func (t *TieredCache) GetOrComputeCtx(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, Tier, error) {
 	if t == nil {
 		data, err := compute()
@@ -177,7 +172,7 @@ func (t *TieredCache) GetOrComputeCtx(ctx context.Context, key string, compute f
 	data, err, leader := t.flight.Do(key, func() ([]byte, error) {
 		// Re-check the fast tier: a previous leader may have landed the
 		// artifact between our miss and acquiring the flight slot.
-		if data, ok := t.mem.get(key); ok {
+		if data, ok := t.memGet(key); ok {
 			servedBy = TierMem
 			return data, nil
 		}
@@ -210,7 +205,7 @@ func (t *TieredCache) Stats() TierStats {
 	if t == nil {
 		return TierStats{}
 	}
-	st := TierStats{Mem: t.mem.stats()}
+	var st TierStats
 	if t.disk != nil {
 		ds := t.disk.Stats()
 		st.Disk = &ds
@@ -220,124 +215,36 @@ func (t *TieredCache) Stats() TierStats {
 		st.Peer = &ps
 	}
 	t.mu.Lock()
+	st.Mem = MemStats{
+		Hits:      t.memHits,
+		Misses:    t.memMisses,
+		Evictions: t.mem.Evictions(),
+		Entries:   t.mem.Len(),
+		Bytes:     t.mem.Bytes(),
+	}
 	st.Computes = t.computes
 	st.Coalesced = t.coalesced
 	t.mu.Unlock()
 	return st
 }
 
-// ------------------------------------------------------------ memory tier
-
-// memCache is the in-process tier: a byte-budget LRU over immutable
-// artifact payloads. Callers must not mutate returned slices.
-type memCache struct {
-	budget int64
-
-	mu         sync.Mutex
-	entries    map[string]*memEntry
-	head, tail *memEntry
-	bytes      int64
-	hits       uint64
-	misses     uint64
-	evictions  uint64
-}
-
-type memEntry struct {
-	key        string
-	data       []byte
-	prev, next *memEntry
-}
-
-func newMemCache(budget int64) *memCache {
-	return &memCache{budget: budget, entries: make(map[string]*memEntry)}
-}
-
-func (m *memCache) get(key string) ([]byte, bool) {
-	if m == nil {
-		return nil, false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[key]
-	if !ok {
-		m.misses++
-		return nil, false
-	}
-	m.hits++
-	m.moveFront(e)
-	return e.data, true
-}
-
-func (m *memCache) put(key string, data []byte) {
-	if m == nil || int64(len(data)) > m.budget {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.entries[key]; ok {
-		m.bytes += int64(len(data) - len(e.data))
-		e.data = data
-		m.moveFront(e)
+// memGet looks key up in the memory tier.
+func (t *TieredCache) memGet(key string) ([]byte, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	data, ok := t.mem.Get(key)
+	if ok {
+		t.memHits++
 	} else {
-		e := &memEntry{key: key, data: data}
-		m.entries[key] = e
-		m.pushFront(e)
-		m.bytes += int64(len(data))
+		t.memMisses++
 	}
-	for m.bytes > m.budget && m.tail != nil {
-		ev := m.tail
-		m.unlink(ev)
-		delete(m.entries, ev.key)
-		m.bytes -= int64(len(ev.data))
-		m.evictions++
-	}
+	return data, ok
 }
 
-func (m *memCache) pushFront(e *memEntry) {
-	e.prev = nil
-	e.next = m.head
-	if m.head != nil {
-		m.head.prev = e
-	}
-	m.head = e
-	if m.tail == nil {
-		m.tail = e
-	}
-}
-
-func (m *memCache) unlink(e *memEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		m.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		m.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (m *memCache) moveFront(e *memEntry) {
-	if m.head == e {
-		return
-	}
-	m.unlink(e)
-	m.pushFront(e)
-}
-
-func (m *memCache) stats() MemStats {
-	if m == nil {
-		return MemStats{}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return MemStats{
-		Hits:      m.hits,
-		Misses:    m.misses,
-		Evictions: m.evictions,
-		Entries:   len(m.entries),
-		Bytes:     m.bytes,
-	}
+// memPut stores data in the memory tier; one larger than the whole budget
+// is not retained.
+func (t *TieredCache) memPut(key string, data []byte) {
+	t.mu.Lock()
+	t.mem.Put(key, data, int64(len(data)))
+	t.mu.Unlock()
 }

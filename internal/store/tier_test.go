@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,7 +10,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// ctx is the context every test lookup runs under.
+var ctx = context.Background()
 
 func TestTieredFillDown(t *testing.T) {
 	disk, _ := openStore(t, 0)
@@ -21,11 +26,11 @@ func TestTieredFillDown(t *testing.T) {
 	// memory is cold, so the first Get must come from disk and refill
 	// memory; the second must come from memory.
 	tc2 := NewTiered(0, disk, nil)
-	data, tier, ok := tc2.Get(key(1))
+	data, tier, ok := tc2.GetCtx(ctx, key(1))
 	if !ok || tier != TierDisk || !bytes.Equal(data, payload) {
 		t.Fatalf("cold Get = tier %v, ok %v", tier, ok)
 	}
-	data, tier, ok = tc2.Get(key(1))
+	data, tier, ok = tc2.GetCtx(ctx, key(1))
 	if !ok || tier != TierMem || !bytes.Equal(data, payload) {
 		t.Fatalf("warm Get = tier %v, ok %v; want memory", tier, ok)
 	}
@@ -39,11 +44,11 @@ func TestTieredGetOrComputeTiers(t *testing.T) {
 		computes.Add(1)
 		return []byte("expensive"), nil
 	}
-	data, tier, err := tc.GetOrCompute(key(1), compute)
+	data, tier, err := tc.GetOrComputeCtx(ctx, key(1), compute)
 	if err != nil || tier != TierNone || string(data) != "expensive" {
 		t.Fatalf("first call = %q, tier %v, err %v", data, tier, err)
 	}
-	if _, tier, _ = tc.GetOrCompute(key(1), compute); tier != TierMem {
+	if _, tier, _ = tc.GetOrComputeCtx(ctx, key(1), compute); tier != TierMem {
 		t.Fatalf("second call served by %v; want memory", tier)
 	}
 	if n := computes.Load(); n != 1 {
@@ -64,7 +69,7 @@ func TestTieredCoalescing(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, _ = tc.GetOrCompute(key(1), func() ([]byte, error) {
+		_, _, _ = tc.GetOrComputeCtx(ctx, key(1), func() ([]byte, error) {
 			close(started)
 			<-release
 			computes.Add(1)
@@ -79,7 +84,7 @@ func TestTieredCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, tier, _ := tc.GetOrCompute(key(1), func() ([]byte, error) {
+			_, tier, _ := tc.GetOrComputeCtx(ctx, key(1), func() ([]byte, error) {
 				computes.Add(1)
 				return []byte("shared"), nil
 			})
@@ -105,6 +110,35 @@ func TestTieredCoalescing(t *testing.T) {
 	}
 	if st := tc.Stats(); st.Coalesced != uint64(coalesced) {
 		t.Fatalf("coalesced stat = %d; want %d", st.Coalesced, coalesced)
+	}
+}
+
+// TestTieredComputePanicReleasesKey: a compute that panics reaches its
+// caller as a panic and does not wedge the key — the next call for the
+// same key computes and returns instead of waiting forever on the dead
+// leader.
+func TestTieredComputePanicReleasesKey(t *testing.T) {
+	tc := NewTiered(0, nil, nil)
+	func() {
+		defer func() {
+			if r := recover(); r != "compile bug" {
+				t.Fatalf("recovered %v; want the compute's panic value", r)
+			}
+		}()
+		tc.GetOrComputeCtx(ctx, key(1), func() ([]byte, error) { panic("compile bug") })
+	}()
+	done := make(chan []byte, 1)
+	go func() {
+		data, _, _ := tc.GetOrComputeCtx(ctx, key(1), func() ([]byte, error) { return []byte("clean"), nil })
+		done <- data
+	}()
+	select {
+	case data := <-done:
+		if string(data) != "clean" {
+			t.Fatalf("call after the panic = %q; want %q", data, "clean")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("call after a panicking compute hung: the key is still in flight")
 	}
 }
 
@@ -150,14 +184,14 @@ func TestTieredPeerHitRefillsLocalTiers(t *testing.T) {
 	disk, _ := openStore(t, 0)
 	tc := NewTiered(0, disk, peer)
 
-	data, tier, ok := tc.Get(key(1))
+	data, tier, ok := tc.GetCtx(ctx, key(1))
 	if !ok || tier != TierPeer || string(data) != "from the peer" {
 		t.Fatalf("peer Get = %q, tier %v, ok %v", data, tier, ok)
 	}
 	// The hit must have refilled disk and memory: cut the peer off and the
 	// artifact is still served locally.
 	srv.Close()
-	if _, tier, ok := tc.Get(key(1)); !ok || tier != TierMem {
+	if _, tier, ok := tc.GetCtx(ctx, key(1)); !ok || tier != TierMem {
 		t.Fatalf("after refill Get = tier %v, ok %v; want memory hit", tier, ok)
 	}
 	if got, ok := disk.Get(key(1)); !ok || string(got) != "from the peer" {
@@ -198,7 +232,7 @@ func TestTieredPeerDown(t *testing.T) {
 		t.Fatalf("NewPeer: %v", err)
 	}
 	tc := NewTiered(0, nil, peer)
-	data, tier, err := tc.GetOrCompute(key(1), func() ([]byte, error) {
+	data, tier, err := tc.GetOrComputeCtx(ctx, key(1), func() ([]byte, error) {
 		return []byte("local fallback"), nil
 	})
 	if err != nil || tier != TierNone || string(data) != "local fallback" {
@@ -247,9 +281,9 @@ func TestMemCacheEviction(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tc.Put(key(i), payload)
 	}
-	tc.Get(key(0)) // protect 0; 1 becomes LRU
+	tc.GetCtx(ctx, key(0)) // protect 0; 1 becomes LRU
 	tc.Put(key(3), payload)
-	if _, _, ok := tc.Get(key(1)); ok {
+	if _, _, ok := tc.GetCtx(ctx, key(1)); ok {
 		t.Fatal("memory LRU victim survived")
 	}
 	st := tc.Stats().Mem
