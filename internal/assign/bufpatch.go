@@ -2,7 +2,6 @@ package assign
 
 import (
 	"fmt"
-	"sort"
 
 	"ursa/internal/dag"
 	"ursa/internal/ir"
@@ -21,7 +20,14 @@ import (
 // but code is always emitted.
 func EmitWithBufferSpills(g *dag.Graph, m *machine.Config) (*Program, error) {
 	f := g.Func
-	lin := topoInstrs(g)
+	// Lowest node id first among the ready: a deterministic order close to
+	// the original program order.
+	var lin []*ir.Instr
+	for _, id := range g.TopoOrder() {
+		if in := g.Nodes[id].Instr; in != nil {
+			lin = append(lin, in)
+		}
+	}
 	patched, bspills, err := insertBufferSpills(f, lin, m, g.LiveOut)
 	if err != nil {
 		return nil, err
@@ -38,38 +44,6 @@ func EmitWithBufferSpills(g *dag.Graph, m *machine.Config) (*Program, error) {
 	prog.Spills = bspills + rspills
 	fillBlock(prog)
 	return prog, nil
-}
-
-// topoInstrs linearizes the graph's instructions in a topological order of
-// the dependence edges, lowest node id first among the ready — a
-// deterministic order close to the original program order.
-func topoInstrs(g *dag.Graph) []*ir.Instr {
-	n := g.NumNodes()
-	indeg := make([]int, n)
-	for _, e := range g.Edges() {
-		indeg[e[1]]++
-	}
-	var ready []int
-	for id := 0; id < n; id++ {
-		if indeg[id] == 0 {
-			ready = append(ready, id)
-		}
-	}
-	var out []*ir.Instr
-	for len(ready) > 0 {
-		sort.Ints(ready)
-		id := ready[0]
-		ready = ready[1:]
-		if in := g.Nodes[id].Instr; in != nil {
-			out = append(out, in)
-		}
-		for _, s := range g.Succs(id) {
-			if indeg[s]--; indeg[s] == 0 {
-				ready = append(ready, s)
-			}
-		}
-	}
-	return out
 }
 
 func distinctUses(in *ir.Instr) []ir.VReg {

@@ -35,54 +35,3 @@ func (g *Graph) Depths() []int {
 	var s Scratch
 	return g.DepthsInto(&s)
 }
-
-// Heights returns, for each node, its longest distance to the leaf in edges.
-func (g *Graph) Heights() []int {
-	topo := g.TopoOrder()
-	height := make([]int, len(g.Nodes))
-	for i := range height {
-		height[i] = -1 << 30
-	}
-	height[g.Leaf] = 0
-	for i := len(topo) - 1; i >= 0; i-- {
-		a := topo[i]
-		for _, b := range g.succ[a] {
-			if height[b]+1 > height[a] {
-				height[a] = height[b] + 1
-			}
-		}
-	}
-	return height
-}
-
-// Descendants returns the strict descendant set of n (excluding n).
-func (g *Graph) Descendants(n int) *order.BitSet {
-	s := order.NewBitSet(len(g.Nodes))
-	stack := append([]int(nil), g.succ[n]...)
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if s.Has(x) {
-			continue
-		}
-		s.Set(x)
-		stack = append(stack, g.succ[x]...)
-	}
-	return s
-}
-
-// Ancestors returns the strict ancestor set of n (excluding n).
-func (g *Graph) Ancestors(n int) *order.BitSet {
-	s := order.NewBitSet(len(g.Nodes))
-	stack := append([]int(nil), g.pred[n]...)
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if s.Has(x) {
-			continue
-		}
-		s.Set(x)
-		stack = append(stack, g.pred[x]...)
-	}
-	return s
-}

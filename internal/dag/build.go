@@ -63,7 +63,7 @@ func Build(b *ir.Block, extraLiveOut ...ir.VReg) (*Graph, error) {
 	// The branch, if any, must schedule after every other instruction.
 	if branch >= 0 {
 		for _, n := range g.InstrNodes() {
-			if n != branch && !reachesVia(g, n, branch) {
+			if n != branch && !g.HasPath(n, branch) {
 				g.AddEdge(n, branch, EdgeSeq)
 			}
 		}
@@ -116,10 +116,6 @@ func Build(b *ir.Block, extraLiveOut ...ir.VReg) (*Graph, error) {
 	}
 	return g, nil
 }
-
-// reachesVia reports whether b is reachable from a by a DFS over successor
-// edges. Used only during construction, before closure caches exist.
-func reachesVia(g *Graph, a, b int) bool { return g.HasPath(a, b) }
 
 // HasPath reports whether b is reachable from a (a == b counts as
 // reachable) by DFS over the current edges. Transformations use this to

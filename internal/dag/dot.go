@@ -6,7 +6,8 @@ import (
 )
 
 // Dot renders the graph in Graphviz DOT format. Data edges are solid,
-// memory edges dashed, sequence edges dotted.
+// memory edges dashed, sequence edges dotted. Edges are listed by source
+// node id, each node's in insertion order, so the text is deterministic.
 func (g *Graph) Dot(title string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "digraph %q {\n", title)
@@ -22,15 +23,17 @@ func (g *Graph) Dot(title string) string {
 		}
 		fmt.Fprintf(&sb, "  n%d [label=\"%s\"%s];\n", n.ID, label, shape)
 	}
-	for e, kind := range g.kinds {
-		style := ""
-		switch kind {
-		case EdgeMem:
-			style = " [style=dashed]"
-		case EdgeSeq:
-			style = " [style=dotted]"
+	for a, ss := range g.succ {
+		for i, b := range ss {
+			style := ""
+			switch g.kind[a][i] {
+			case EdgeMem:
+				style = " [style=dashed]"
+			case EdgeSeq:
+				style = " [style=dotted]"
+			}
+			fmt.Fprintf(&sb, "  n%d -> n%d%s;\n", a, b, style)
 		}
-		fmt.Fprintf(&sb, "  n%d -> n%d%s;\n", e[0], e[1], style)
 	}
 	sb.WriteString("}\n")
 	return sb.String()

@@ -60,17 +60,21 @@ func (g *Graph) Fingerprint() [sha256.Size]byte {
 		wInt(int64(in.Cluster))
 	}
 
-	edges := g.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
+	// Edges in (source, target) order. Adjacency rows keep insertion
+	// order, so each row is sorted before it is hashed.
+	edges := 0
+	for _, ss := range g.succ {
+		edges += len(ss)
+	}
+	wInt(int64(edges))
+	var row []int
+	for a, ss := range g.succ {
+		row = append(row[:0], ss...)
+		sort.Ints(row)
+		for _, b := range row {
+			wInt(int64(a))
+			wInt(int64(b))
 		}
-		return edges[i][1] < edges[j][1]
-	})
-	wInt(int64(len(edges)))
-	for _, e := range edges {
-		wInt(int64(e[0]))
-		wInt(int64(e[1]))
 	}
 
 	live := make([]ir.VReg, 0, len(g.LiveOut))

@@ -1,12 +1,16 @@
-package dag
+package dag_test
 
 import (
+	"encoding/hex"
+	"slices"
 	"testing"
 
+	"ursa/internal/dag"
 	"ursa/internal/ir"
+	"ursa/internal/transform"
 )
 
-func fpGraph(t *testing.T) (*ir.Func, *Graph) {
+func fpGraph(t *testing.T) (*ir.Func, *dag.Graph) {
 	t.Helper()
 	f := ir.MustParse(`
 func fp {
@@ -18,7 +22,7 @@ entry:
 	store OUT[0], d
 }
 `)
-	g, err := Build(f.Blocks[0])
+	g, err := dag.Build(f.Blocks[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +53,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	withEdge := g.Clone()
 	// b and c are independent siblings; sequencing them is a real change.
 	nb, nc := g.Func.Reg("b"), g.Func.Reg("c")
-	withEdge.AddEdge(withEdge.DefNode(nb), withEdge.DefNode(nc), EdgeSeq)
+	withEdge.AddEdge(withEdge.DefNode(nb), withEdge.DefNode(nc), dag.EdgeSeq)
 	if withEdge.Fingerprint() == base {
 		t.Fatal("added edge did not change the fingerprint")
 	}
@@ -68,5 +72,73 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 	if withImm.Fingerprint() == base {
 		t.Fatal("immediate change did not change the fingerprint")
+	}
+}
+
+// TestFingerprintPinned: the hash of fpGraph. The bytes hashed are the
+// measurement cache's key material, so a change here moves every key.
+func TestFingerprintPinned(t *testing.T) {
+	_, g := fpGraph(t)
+	fp := g.Fingerprint()
+	const want = "37a5e8654dadb286015eda828ae0747d69c4c906ca63d5145f7d3d29ecf06d51"
+	if got := hex.EncodeToString(fp[:]); got != want {
+		t.Fatalf("fingerprint %s, want %s", got, want)
+	}
+}
+
+// TestFingerprintIgnoresEdgeOrder: the hash depends on the edge set, not on
+// the order edges entered the adjacency lists — neither for a graph built
+// with its edges inserted in reverse, nor for a clone whose lists an
+// UndoLog apply and Revert reordered.
+func TestFingerprintIgnoresEdgeOrder(t *testing.T) {
+	f, g := fpGraph(t)
+	base := g.Fingerprint()
+
+	rev := dag.New(f)
+	for _, n := range g.InstrNodes() {
+		rev.AddInstr(g.Nodes[n].Instr.Clone())
+	}
+	for a := g.NumNodes() - 1; a >= 0; a-- {
+		ss := g.Succs(a)
+		for i := len(ss) - 1; i >= 0; i-- {
+			k, _ := g.EdgeKindOf(a, ss[i])
+			rev.AddEdge(a, ss[i], k)
+		}
+	}
+	for v, ok := range g.LiveOut {
+		rev.LiveOut[v] = ok
+	}
+	reordered := false
+	for n := range g.Nodes {
+		reordered = reordered || !slices.Equal(rev.Succs(n), g.Succs(n))
+	}
+	if !reordered {
+		t.Fatal("reverse insertion left every successor list in order")
+	}
+	if rev.Fingerprint() != base {
+		t.Error("reverse edge insertion changed the fingerprint")
+	}
+
+	// Spilling a to a reload after c rewires b; Revert re-adds (a, b)
+	// after (a, c), reordering a's successors.
+	c := g.Clone()
+	c.Func = f.Clone()
+	a := c.DefNode(f.Reg("a"))
+	before := slices.Clone(c.Succs(a))
+	cand := &transform.Candidate{Kind: transform.Spill, Spill: &transform.SpillSpec{
+		Reg:     f.Reg("a"),
+		Def:     a,
+		Barrier: []int{c.DefNode(f.Reg("c"))},
+	}}
+	var log transform.UndoLog
+	if err := cand.ApplyLog(c, &log); err != nil {
+		t.Fatalf("ApplyLog: %v", err)
+	}
+	log.Revert()
+	if slices.Equal(c.Succs(a), before) {
+		t.Fatalf("apply and revert left a's successors in order %v", before)
+	}
+	if c.Fingerprint() != base {
+		t.Error("apply and revert changed the fingerprint")
 	}
 }

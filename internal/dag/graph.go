@@ -12,6 +12,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 
 	"ursa/internal/ir"
 	"ursa/internal/order"
@@ -59,9 +60,11 @@ type Graph struct {
 	Root  int // pseudo entry node id
 	Leaf  int // pseudo exit node id
 
-	succ  [][]int
-	pred  [][]int
-	kinds map[[2]int]EdgeKind
+	// succ and pred are the adjacency lists, in insertion order; kind runs
+	// parallel to succ: kind[a][i] is the kind of edge (a, succ[a][i]).
+	succ [][]int
+	kind [][]EdgeKind
+	pred [][]int
 
 	// LiveOut lists the registers whose values must survive the region:
 	// their lifetimes extend to the leaf. Defaults to every register defined
@@ -74,7 +77,6 @@ type Graph struct {
 func New(f *ir.Func) *Graph {
 	g := &Graph{
 		Func:    f,
-		kinds:   make(map[[2]int]EdgeKind),
 		LiveOut: make(map[ir.VReg]bool),
 	}
 	g.Root = g.addNode(nil, "root")
@@ -86,6 +88,7 @@ func (g *Graph) addNode(in *ir.Instr, name string) int {
 	id := len(g.Nodes)
 	g.Nodes = append(g.Nodes, &Node{ID: id, Instr: in, Name: name})
 	g.succ = append(g.succ, nil)
+	g.kind = append(g.kind, nil)
 	g.pred = append(g.pred, nil)
 	return id
 }
@@ -114,61 +117,41 @@ func (g *Graph) Succs(n int) []int { return g.succ[n] }
 func (g *Graph) Preds(n int) []int { return g.pred[n] }
 
 // HasEdge reports whether the edge (a, b) exists.
-func (g *Graph) HasEdge(a, b int) bool {
-	_, ok := g.kinds[[2]int{a, b}]
-	return ok
-}
+func (g *Graph) HasEdge(a, b int) bool { return slices.Contains(g.succ[a], b) }
 
 // EdgeKindOf returns the kind of edge (a, b); ok is false if absent.
 func (g *Graph) EdgeKindOf(a, b int) (EdgeKind, bool) {
-	k, ok := g.kinds[[2]int{a, b}]
-	return k, ok
+	i := slices.Index(g.succ[a], b)
+	if i < 0 {
+		return 0, false
+	}
+	return g.kind[a][i], true
 }
 
 // AddEdge inserts the edge (a, b) of the given kind. Duplicate insertions
 // keep the first kind. Adding an edge that would create a cycle is the
 // caller's responsibility to avoid (see Reaches).
 func (g *Graph) AddEdge(a, b int, kind EdgeKind) {
-	key := [2]int{a, b}
-	if _, dup := g.kinds[key]; dup {
+	if g.HasEdge(a, b) {
 		return
 	}
-	g.kinds[key] = kind
 	g.succ[a] = append(g.succ[a], b)
+	g.kind[a] = append(g.kind[a], kind)
 	g.pred[b] = append(g.pred[b], a)
 }
 
-// RemoveEdge deletes the edge (a, b) if present.
+// RemoveEdge deletes the edge (a, b) if present. The remaining entries of
+// both adjacency lists keep their order.
 func (g *Graph) RemoveEdge(a, b int) {
-	key := [2]int{a, b}
-	if _, ok := g.kinds[key]; !ok {
+	i := slices.Index(g.succ[a], b)
+	if i < 0 {
 		return
 	}
-	delete(g.kinds, key)
-	g.succ[a] = removeFrom(g.succ[a], b)
-	g.pred[b] = removeFrom(g.pred[b], a)
+	g.succ[a] = slices.Delete(g.succ[a], i, i+1)
+	g.kind[a] = slices.Delete(g.kind[a], i, i+1)
+	j := slices.Index(g.pred[b], a)
+	g.pred[b] = slices.Delete(g.pred[b], j, j+1)
 }
-
-func removeFrom(s []int, x int) []int {
-	for i, v := range s {
-		if v == x {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
-// Edges returns all edges. The order is unspecified.
-func (g *Graph) Edges() [][2]int {
-	out := make([][2]int, 0, len(g.kinds))
-	for e := range g.kinds {
-		out = append(out, e)
-	}
-	return out
-}
-
-// NumEdges returns the edge count.
-func (g *Graph) NumEdges() int { return len(g.kinds) }
 
 // InstrNodes returns the ids of all non-pseudo nodes in id order.
 func (g *Graph) InstrNodes() []int {
@@ -188,11 +171,11 @@ func (g *Graph) Clone() *Graph {
 		Func:    g.Func,
 		Root:    g.Root,
 		Leaf:    g.Leaf,
-		kinds:   make(map[[2]int]EdgeKind, len(g.kinds)),
 		LiveOut: make(map[ir.VReg]bool, len(g.LiveOut)),
 	}
 	c.Nodes = make([]*Node, len(g.Nodes))
 	c.succ = make([][]int, len(g.succ))
+	c.kind = make([][]EdgeKind, len(g.kind))
 	c.pred = make([][]int, len(g.pred))
 	for i, n := range g.Nodes {
 		cn := &Node{ID: n.ID, Name: n.Name}
@@ -200,11 +183,9 @@ func (g *Graph) Clone() *Graph {
 			cn.Instr = n.Instr.Clone()
 		}
 		c.Nodes[i] = cn
-		c.succ[i] = append([]int(nil), g.succ[i]...)
-		c.pred[i] = append([]int(nil), g.pred[i]...)
-	}
-	for k, v := range g.kinds {
-		c.kinds[k] = v
+		c.succ[i] = slices.Clone(g.succ[i])
+		c.kind[i] = slices.Clone(g.kind[i])
+		c.pred[i] = slices.Clone(g.pred[i])
 	}
 	for k, v := range g.LiveOut {
 		c.LiveOut[k] = v
@@ -228,6 +209,7 @@ func (g *Graph) TruncateNodes(n int) {
 	}
 	g.Nodes = g.Nodes[:n]
 	g.succ = g.succ[:n]
+	g.kind = g.kind[:n]
 	g.pred = g.pred[:n]
 }
 
@@ -258,13 +240,31 @@ func (g *Graph) UseNodes(v ir.VReg) []int {
 	return out
 }
 
-// Check validates structural invariants: acyclicity, single root/leaf
-// connectivity (every node reachable from root and reaching leaf), and
-// adjacency/kind consistency.
+// Check validates structural invariants: adjacency consistency (every
+// entry in range, succ and pred mirroring each other, one kind per
+// successor), acyclicity, and single root/leaf connectivity (every node
+// reachable from root and reaching leaf).
 func (g *Graph) Check() error {
-	for key := range g.kinds {
-		if key[0] < 0 || key[0] >= len(g.Nodes) || key[1] < 0 || key[1] >= len(g.Nodes) {
-			return fmt.Errorf("dag: edge %v out of range", key)
+	n := len(g.Nodes)
+	for a := range g.succ {
+		if len(g.kind[a]) != len(g.succ[a]) {
+			return fmt.Errorf("dag: node %d has %d successors but %d edge kinds", a, len(g.succ[a]), len(g.kind[a]))
+		}
+		for _, b := range g.succ[a] {
+			if b < 0 || b >= n {
+				return fmt.Errorf("dag: edge (%d,%d) out of range", a, b)
+			}
+			if !slices.Contains(g.pred[b], a) {
+				return fmt.Errorf("dag: edge (%d,%d) missing from %d's predecessors", a, b, b)
+			}
+		}
+		for _, p := range g.pred[a] {
+			if p < 0 || p >= n {
+				return fmt.Errorf("dag: edge (%d,%d) out of range", p, a)
+			}
+			if !slices.Contains(g.succ[p], a) {
+				return fmt.Errorf("dag: edge (%d,%d) missing from %d's successors", p, a, p)
+			}
 		}
 	}
 	rel := g.Relation()
@@ -272,22 +272,15 @@ func (g *Graph) Check() error {
 		return fmt.Errorf("dag: graph has a cycle")
 	}
 	reach := rel.TransitiveClosure()
-	for _, n := range g.Nodes {
-		if n.ID == g.Root || n.ID == g.Leaf {
+	for _, nd := range g.Nodes {
+		if nd.ID == g.Root || nd.ID == g.Leaf {
 			continue
 		}
-		if !reach.Has(g.Root, n.ID) {
-			return fmt.Errorf("dag: node %d (%s) unreachable from root", n.ID, n.Name)
+		if !reach.Has(g.Root, nd.ID) {
+			return fmt.Errorf("dag: node %d (%s) unreachable from root", nd.ID, nd.Name)
 		}
-		if !reach.Has(n.ID, g.Leaf) {
-			return fmt.Errorf("dag: node %d (%s) does not reach leaf", n.ID, n.Name)
-		}
-	}
-	for a, ss := range g.succ {
-		for _, b := range ss {
-			if _, ok := g.kinds[[2]int{a, b}]; !ok {
-				return fmt.Errorf("dag: adjacency edge (%d,%d) missing kind", a, b)
-			}
+		if !reach.Has(nd.ID, g.Leaf) {
+			return fmt.Errorf("dag: node %d (%s) does not reach leaf", nd.ID, nd.Name)
 		}
 	}
 	return nil
@@ -296,8 +289,10 @@ func (g *Graph) Check() error {
 // Relation returns the edge set as an order.Relation over node ids.
 func (g *Graph) Relation() *order.Relation {
 	r := order.NewRelation(len(g.Nodes))
-	for e := range g.kinds {
-		r.Add(e[0], e[1])
+	for a, ss := range g.succ {
+		for _, b := range ss {
+			r.Add(a, b)
+		}
 	}
 	return r
 }

@@ -118,12 +118,10 @@ func (g *Graph) Hammocks() []*Hammock {
 	}
 
 	var hs []*Hammock
-	seen := make(map[[2]int]bool)
 	tryRegion := func(e, x int) {
-		if e == x || seen[[2]int{e, x}] {
+		if e == x {
 			return
 		}
-		seen[[2]int{e, x}] = true
 		if !domBy(x, e) || !pdomBy(e, x) {
 			return
 		}
@@ -137,12 +135,14 @@ func (g *Graph) Hammocks() []*Hammock {
 			return // trivial region: just the pair
 		}
 		// Closure check: edges may enter only at e and leave only at x.
-		for edge := range g.kinds {
-			u, v := edge[0], edge[1]
-			if region.Has(v) && v != e && !region.Has(u) {
+		for v := 0; v < n; v++ {
+			if !region.Has(v) {
+				continue
+			}
+			if v != e && !allIn(region, g.pred[v]) {
 				return
 			}
-			if region.Has(u) && u != x && !region.Has(v) {
+			if v != x && !allIn(region, g.succ[v]) {
 				return
 			}
 		}
@@ -150,12 +150,14 @@ func (g *Graph) Hammocks() []*Hammock {
 	}
 
 	// Whole graph first, then each node paired with its postdominator chain.
+	// The chain loop stops short of the leaf, so (e, leaf) is tried on its
+	// own, for every e but the root, whose pair was tried first.
 	tryRegion(g.Root, g.Leaf)
 	for e := 0; e < n; e++ {
 		for x := pdom[e]; x != -1 && x != pdom[x]; x = pdom[x] {
 			tryRegion(e, x)
 		}
-		if pdom[e] != -1 {
+		if pdom[e] != -1 && e != g.Root {
 			tryRegion(e, g.Leaf)
 		}
 	}
@@ -176,7 +178,7 @@ func (g *Graph) Hammocks() []*Hammock {
 		level := 0
 		for j := i + 1; j < len(hs); j++ {
 			o := hs[j]
-			if o.Size() > h.Size() && containsAll(o.Interior, h.Interior) {
+			if o.Size() > h.Size() && h.Interior.SubsetOf(o.Interior) {
 				level++
 			}
 		}
@@ -185,8 +187,14 @@ func (g *Graph) Hammocks() []*Hammock {
 	return hs
 }
 
-func containsAll(outer, inner *order.BitSet) bool {
-	return inner.SubsetOf(outer)
+// allIn reports whether every node in ns lies in s.
+func allIn(s *order.BitSet, ns []int) bool {
+	for _, v := range ns {
+		if !s.Has(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // NestLevels returns, for every node, the nesting level of the smallest

@@ -105,8 +105,8 @@ func (c *Cache) Measure(g *dag.Graph, resource string, build func(*dag.Graph) *r
 	return res
 }
 
-// approxResultBytes estimates the memory a cached Result retains: the two
-// n×n bit relations dominate, plus the items, kill map, and decomposition
+// approxResultBytes estimates the memory a cached Result retains: the n×n
+// bit relation dominates, plus the items, kill map, and decomposition
 // (all O(n) slices of machine words), plus fixed struct overhead.
 func approxResultBytes(res *Result) int64 {
 	if res == nil || res.R == nil {
@@ -114,7 +114,7 @@ func approxResultBytes(res *Result) int64 {
 	}
 	n := int64(len(res.R.Items))
 	relBits := n * ((n + 63) / 64) * 8 // one bitset row per item
-	return 2*relBits +                 // Rel + Reduced
+	return relBits +                   // Rel
 		n*16 + // Items (node + reg)
 		n*8 + // Kill
 		n*8 + // ChainOf

@@ -2,41 +2,6 @@ package order
 
 import "sync"
 
-// RelationPool is a size-keyed free list of relations. The candidate
-// evaluator holds one pool per worker: scratch closures and scratch reuse
-// orders are taken from the pool, reset in place, and returned, so the
-// steady-state reduction loop builds no new relation storage however many
-// candidates it scores. The zero value is ready to use.
-//
-// A RelationPool is not safe for concurrent use; each worker owns its own.
-type RelationPool struct {
-	free map[int][]*Relation
-}
-
-// Get returns an empty relation over n elements, reusing pooled storage of
-// the right size when available.
-func (p *RelationPool) Get(n int) *Relation {
-	if rs := p.free[n]; len(rs) > 0 {
-		r := rs[len(rs)-1]
-		p.free[n] = rs[:len(rs)-1]
-		r.Reset()
-		return r
-	}
-	return NewRelation(n)
-}
-
-// Put returns a relation to the pool for later reuse. The caller must not
-// use r afterwards.
-func (p *RelationPool) Put(r *Relation) {
-	if r == nil {
-		return
-	}
-	if p.free == nil {
-		p.free = make(map[int][]*Relation)
-	}
-	p.free[r.n] = append(p.free[r.n], r)
-}
-
 // intPool recycles []int scratch buffers for the order package's internal
 // temporaries (topological sorts, member lists), so the measurement paths
 // that run per tentative candidate do not allocate them fresh each time.

@@ -1,8 +1,13 @@
-// Package reuse constructs the Reuse DAGs of paper §3: for each resource, a
-// strict partial order CanReuse_R over the resource-holding items, where
-// (a, b) ∈ CanReuse_R means no schedule can execute b while a's resource
-// instance is still in use. Minimum chain decompositions of these orders
-// yield the maximum resource requirements (Theorem 1 / Dilworth).
+// Package reuse constructs the reuse structures of paper §3: for each
+// resource, a strict partial order CanReuse_R over the resource-holding
+// items, where (a, b) ∈ CanReuse_R means no schedule can execute b while
+// a's resource instance is still in use. Minimum chain decompositions of
+// these orders yield the maximum resource requirements (Theorem 1 /
+// Dilworth).
+//
+// A Reuse keeps only the closed order, which is all measurement reads. The
+// Reuse DAG of Def. 4 — the order's transitive reduction — is for drawing
+// and is derived on demand by Reuse.Dot.
 //
 // Functional units: an FU is busy only while its instruction executes, so
 // CanReuse_FU is exactly DAG reachability restricted to the instructions
@@ -43,8 +48,6 @@ type Reuse struct {
 
 	// Rel is CanReuse_R over item indices (transitively closed).
 	Rel *order.Relation
-	// Reduced is Rel's transitive reduction: the Reuse_R DAG of Def. 4.
-	Reduced *order.Relation
 	// Kill maps item index -> killer node id in the graph (register
 	// resources only; -1 means killed at the leaf / live-out).
 	Kill []int
@@ -55,18 +58,6 @@ type Reuse struct {
 	// selection.
 	IsReg bool
 	Class ir.Class
-
-	byNode map[int]int // producer node -> item index (first item per node)
-}
-
-// ItemIndexByNode returns the item produced at the given node, or -1. For
-// register resources the root node may produce several live-in items; the
-// lowest-indexed one is returned.
-func (r *Reuse) ItemIndexByNode(node int) int {
-	if i, ok := r.byNode[node]; ok {
-		return i
-	}
-	return -1
 }
 
 // NumItems returns the number of resource-holding items.
@@ -77,21 +68,19 @@ func (r *Reuse) String() string {
 	return fmt.Sprintf("reuse{%d items, %d pairs}", len(r.Items), r.Rel.Pairs())
 }
 
-// FU builds the Reuse DAG for a functional-unit family: the instructions
+// FU builds the reuse structure for a functional-unit family: the instructions
 // selected by member (e.g. all instructions on a homogeneous machine, or
 // only the memory ops for a load/store unit).
 func FU(g *dag.Graph, member func(*dag.Node) bool) *Reuse {
-	r := &Reuse{Graph: g, byNode: make(map[int]int)}
+	r := &Reuse{Graph: g}
 	for _, n := range g.Nodes {
 		if n.IsPseudo() || !member(n) {
 			continue
 		}
-		r.byNode[n.ID] = len(r.Items)
 		r.Items = append(r.Items, Item{Node: n.ID})
 	}
 	r.Rel = order.NewRelation(len(r.Items))
 	fillRel(r.Rel, r.Items, nil, g.Reach())
-	r.Reduced = r.Rel.TransitiveReduction()
 	return r
 }
 
@@ -129,7 +118,7 @@ func KindFUs(k ir.Kind) func(*dag.Node) bool {
 	return func(n *dag.Node) bool { return n.Instr != nil && n.Instr.Kind() == k }
 }
 
-// Reg builds the Reuse DAG for the register class c. Items are the values
+// Reg builds the reuse structure for the register class c. Items are the values
 // of that class: region-defined values plus live-in registers (produced at
 // the root, occupying a register from region entry until their kill).
 // Values in g.LiveOut are killed at the leaf and hence never reusable.
@@ -140,7 +129,7 @@ func Reg(g *dag.Graph, c ir.Class) *Reuse {
 		func(v ir.VReg) bool { return f.ClassOf(v) == c })
 }
 
-// Values builds the Reuse DAG for an arbitrary value-holding resource:
+// Values builds the reuse structure for an arbitrary value-holding resource:
 // region-defined values selected by include (called only for nodes with a
 // destination) plus, when liveIn is non-nil, the used-but-region-undefined
 // registers liveIn selects, produced at the root. Reg is the register-class
@@ -153,7 +142,7 @@ func Reg(g *dag.Graph, c ir.Class) *Reuse {
 // structure for incremental updates; value sets spanning classes may pass
 // any class.
 func Values(g *dag.Graph, c ir.Class, include func(n *dag.Node) bool, liveIn func(v ir.VReg) bool) *Reuse {
-	r := &Reuse{Graph: g, IsReg: true, Class: c, byNode: make(map[int]int)}
+	r := &Reuse{Graph: g, IsReg: true, Class: c}
 
 	// Region-defined values. The defined set tracks every definition, not
 	// just the included ones: a region-defined value excluded by the filter
@@ -167,11 +156,7 @@ func Values(g *dag.Graph, c ir.Class, include func(n *dag.Node) bool, liveIn fun
 		if !include(n) {
 			continue
 		}
-		idx := len(r.Items)
 		r.Items = append(r.Items, Item{Node: n.ID, Reg: n.Instr.Dst})
-		if _, ok := r.byNode[n.ID]; !ok {
-			r.byNode[n.ID] = idx
-		}
 	}
 	// Live-in values: used but not defined in the region.
 	liveInSet := make(map[ir.VReg]bool)
@@ -193,18 +178,13 @@ func Values(g *dag.Graph, c ir.Class, include func(n *dag.Node) bool, liveIn fun
 	}
 	sort.Slice(liveInRegs, func(i, j int) bool { return liveInRegs[i] < liveInRegs[j] })
 	for _, v := range liveInRegs {
-		idx := len(r.Items)
 		r.Items = append(r.Items, Item{Node: g.Root, Reg: v})
-		if _, ok := r.byNode[g.Root]; !ok {
-			r.byNode[g.Root] = idx
-		}
 	}
 
 	reach := g.Reach()
 	r.Kill = SelectKills(g, r.Items, reach)
 	r.Rel = order.NewRelation(len(r.Items))
 	fillRel(r.Rel, r.Items, r.Kill, reach)
-	r.Reduced = r.Rel.TransitiveReduction()
 	return r
 }
 
@@ -226,9 +206,10 @@ func SelectKills(g *dag.Graph, items []Item, reach *order.Relation) []int {
 	return SelectKillsInto(g, items, reach, g.Depths(), &ks)
 }
 
-// Dot renders the Reuse DAG (the transitive reduction of CanReuse, Def. 4)
-// in Graphviz format: one node per resource-holding item, labelled with its
-// producer, one edge per reuse pair.
+// Dot renders the Reuse DAG (the transitive reduction of CanReuse, Def. 4,
+// computed here from Rel) in Graphviz format: one node per
+// resource-holding item, labelled with its producer, one edge per
+// covering reuse pair.
 func (r *Reuse) Dot(title string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "digraph %q {\n", title)
@@ -247,8 +228,9 @@ func (r *Reuse) Dot(title string) string {
 		}
 		fmt.Fprintf(&sb, "  i%d [label=\"%s\"];\n", i, label)
 	}
+	red := r.Rel.TransitiveReduction()
 	for a := 0; a < r.NumItems(); a++ {
-		r.Reduced.Row(a).ForEach(func(b int) {
+		red.Row(a).ForEach(func(b int) {
 			fmt.Fprintf(&sb, "  i%d -> i%d;\n", a, b)
 		})
 	}

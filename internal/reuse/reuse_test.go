@@ -50,6 +50,16 @@ func itemByReg(r *Reuse, name string) int {
 	return -1
 }
 
+// itemByNode returns the first item produced at node, or -1.
+func itemByNode(r *Reuse, node int) int {
+	for i, it := range r.Items {
+		if it.Node == node {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestFUReuseIsReachability(t *testing.T) {
 	g := paperGraph(t)
 	r := FU(g, AllFUs)
@@ -60,9 +70,9 @@ func TestFUReuseIsReachability(t *testing.T) {
 		t.Fatalf("CanReuse_FU not a strict partial order: %v", err)
 	}
 	// A reaches everything; G and H independent.
-	a := r.ItemIndexByNode(g.DefNode(g.Func.Reg("v")))
-	gg := r.ItemIndexByNode(g.DefNode(g.Func.Reg("t3")))
-	hh := r.ItemIndexByNode(g.DefNode(g.Func.Reg("t4")))
+	a := itemByNode(r, g.DefNode(g.Func.Reg("v")))
+	gg := itemByNode(r, g.DefNode(g.Func.Reg("t3")))
+	hh := itemByNode(r, g.DefNode(g.Func.Reg("t4")))
 	if !r.Rel.Has(a, gg) || !r.Rel.Has(a, hh) {
 		t.Error("A must relate to G and H")
 	}
@@ -248,7 +258,7 @@ func TestRegReuseIsPartialOrderProperty(t *testing.T) {
 			if err := r.Rel.IsStrictPartialOrder(); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			red := r.Reduced.TransitiveClosure()
+			red := r.Rel.TransitiveReduction().TransitiveClosure()
 			for a := 0; a < r.NumItems(); a++ {
 				for b := 0; b < r.NumItems(); b++ {
 					if red.Has(a, b) != r.Rel.Has(a, b) {

@@ -183,10 +183,7 @@ func SelectKillsInto(g *dag.Graph, items []Item, reach *order.Relation, depth []
 // gain pairs. dst receives the updated structure: it shares Items (and
 // Kill, for register resources) with r, and dst.Rel must already hold a
 // cleared relation over len(r.Items) items (the evaluator keeps one per
-// worker and Resets it between candidates). The transitive reduction is not
-// recomputed — it is needed only for rendering, never for measurement — so
-// dst.Reduced is nil and dst must not be fed to candidate generation or
-// Dot.
+// worker and Resets it between candidates).
 //
 // For functional-unit resources the update always succeeds: CanReuse_FU is
 // reachability restricted to the items. For register resources the kill
@@ -209,13 +206,12 @@ func (r *Reuse) UpdateClosureInto(g *dag.Graph, reach *order.Relation, depth []i
 
 	rel := dst.Rel
 	*dst = Reuse{
-		Graph:  g,
-		Items:  r.Items,
-		Rel:    rel,
-		Kill:   r.Kill,
-		IsReg:  r.IsReg,
-		Class:  r.Class,
-		byNode: r.byNode,
+		Graph: g,
+		Items: r.Items,
+		Rel:   rel,
+		Kill:  r.Kill,
+		IsReg: r.IsReg,
+		Class: r.Class,
 	}
 	fillRel(rel, r.Items, r.Kill, reach)
 	return true

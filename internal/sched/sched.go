@@ -86,8 +86,8 @@ func List(g *dag.Graph, m *machine.Config, opts Options) (*Schedule, error) {
 	n := len(g.Nodes)
 	indeg := make([]int, n)
 	earliest := make([]int, n) // data-ready cycle
-	for _, e := range g.Edges() {
-		indeg[e[1]]++
+	for i := range indeg {
+		indeg[i] = len(g.Preds(i))
 	}
 
 	// Pseudo nodes resolve immediately.
