@@ -30,9 +30,10 @@ const deltaSpillReplays = OracleDelta + ".spills"
 //
 //   - every core.ScoreCandidates outcome — sequencing, spill and copy-spill
 //     alike — equals clone, Apply, Measure every resource, CriticalPath;
-//   - replayed sequencing candidates: the in-place closure, delta width,
-//     relation and kills equal from-scratch rebuilds, and every declined
-//     delta is justified by a kill shift (checkDeltaCandidate);
+//   - replayed sequencing candidates: the in-place closure, the updated
+//     relation and kills, and the width equal from-scratch rebuilds, kill
+//     shifts included, and the kill-shift report is exact
+//     (checkDeltaCandidate);
 //   - replayed spill and copy-spill candidates, on their own budget, equal
 //     clone+Apply (checkSpillCandidate);
 //   - every UndoLog.Revert restores the graph fingerprint, since the
@@ -51,7 +52,6 @@ func checkDelta(rep *Report, c *Case) {
 	checkDeltaScores(rep, g, m, resources)
 
 	hammocks := g.Hammocks()
-	levels := g.NestLevels(hammocks)
 	baseReach := g.Reach()
 	base := make(map[string]*measure.Result, len(resources))
 	for _, r := range resources {
@@ -102,7 +102,7 @@ func checkDelta(rep *Report, c *Case) {
 					*replayed++
 					rep.tick(OracleDelta)
 					if cand.SeqOnly() {
-						checkDeltaCandidate(rep, g, resources, base, baseReach, levels, cand, log.Added(), &sc)
+						checkDeltaCandidate(rep, g, resources, base, baseReach, cand, log.Added(), &sc)
 					} else {
 						rep.tick(deltaSpillReplays)
 						checkSpillCandidate(rep, g, ref, resources, cand)
@@ -163,10 +163,13 @@ type deltaScratch struct {
 }
 
 // checkDeltaCandidate compares, on the already-transformed graph g, the
-// incremental closure and per-resource delta measurements against their
-// from-scratch references.
+// incremental closure and per-resource updates against their from-scratch
+// references: UpdateClosureInto's relation and kills equal a rebuild and it
+// reports a kill shift exactly when the rebuilt kills differ, and the width
+// the evaluator takes — warm-started while the kills hold, cold otherwise —
+// equals the measured width of the rebuild.
 func checkDeltaCandidate(rep *Report, g *dag.Graph, resources []core.Resource,
-	base map[string]*measure.Result, baseReach *order.Relation, levels []int,
+	base map[string]*measure.Result, baseReach *order.Relation,
 	cand *transform.Candidate, added [][2]int, sc *deltaScratch) {
 
 	inc := baseReach.Clone()
@@ -192,35 +195,35 @@ func checkDeltaCandidate(rep *Report, g *dag.Graph, resources []core.Resource,
 			sc.kills.PrecomputeUses(g, prev.R.Items)
 		}
 		ru := reuse.Reuse{Rel: order.NewRelation(prev.R.NumItems())}
-		if !prev.R.UpdateClosureInto(g, inc, depths, &sc.kills, &ru) {
-			// The engine would fall back to a full rebuild here; the refusal
-			// must be justified by an actual kill shift.
-			if slices.Equal(fresh.Kill, prev.R.Kill) {
-				rep.failf(OracleDelta, "%s %s: UpdateClosureInto declined but kills are unchanged", r.Name, cand)
-			}
+		held := prev.R.UpdateClosureInto(g, inc, depths, &sc.kills, &ru)
+		if want := slices.Equal(fresh.Kill, prev.R.Kill); held != want {
+			rep.failf(OracleDelta, "%s %s: UpdateClosureInto reported kills held=%v, rebuild says %v",
+				r.Name, cand, held, want)
 			continue
 		}
-		if got, want := measure.ChainsDeltaWidth(prev, &ru, levels, &sc.delta), measure.Measure(fresh).Width; got != want {
-			rep.failf(OracleDelta, "%s %s: delta width %d, from-scratch %d", r.Name, cand, got, want)
-			continue
-		}
-		// The updated relation and kills must match a from-scratch rebuild.
 		if !slices.Equal(ru.Kill, fresh.Kill) {
-			rep.failf(OracleDelta, "%s %s: delta kills %v, rebuild %v", r.Name, cand, ru.Kill, fresh.Kill)
+			rep.failf(OracleDelta, "%s %s: updated kills %v, rebuild %v", r.Name, cand, ru.Kill, fresh.Kill)
 			continue
 		}
 		if ru.Rel.Size() != fresh.Rel.Size() {
-			rep.failf(OracleDelta, "%s %s: delta relation over %d items, rebuild %d",
+			rep.failf(OracleDelta, "%s %s: updated relation over %d items, rebuild %d",
 				r.Name, cand, ru.Rel.Size(), fresh.Rel.Size())
 			continue
 		}
 		for i := 0; i < fresh.Rel.Size(); i++ {
 			got, want := ru.Rel.Row(i), fresh.Rel.Row(i)
 			if !got.SubsetOf(want) || !want.SubsetOf(got) {
-				rep.failf(OracleDelta, "%s %s: delta relation row %d is %v, rebuild %v",
+				rep.failf(OracleDelta, "%s %s: updated relation row %d is %v, rebuild %v",
 					r.Name, cand, i, got, want)
 				break
 			}
+		}
+		warm := prev
+		if !held {
+			warm = nil
+		}
+		if got, want := measure.Width(warm, &ru, &sc.delta), measure.Measure(fresh).Width; got != want {
+			rep.failf(OracleDelta, "%s %s: width %d (warm=%v), from scratch %d", r.Name, cand, got, held, want)
 		}
 	}
 }

@@ -339,12 +339,21 @@ func (r *Router) candidates(key string) []*backend {
 				copy(out[1:i+1], out[:i])
 				out[0] = spill
 				r.mSpillovers.Inc()
-				r.logf("ursagw: spillover %s… to %s (owner queue deep)", key[:8], spill.name)
+				r.logf("ursagw: spillover %s to %s (owner queue deep)", shortKey(key), spill.name)
 				break
 			}
 		}
 	}
 	return out
+}
+
+// shortKey abbreviates a key for logs. Cache keys from clients may be as
+// short as two characters.
+func shortKey(key string) string {
+	if len(key) > 8 {
+		return key[:8] + "…"
+	}
+	return key
 }
 
 // upstream is one forwarded response, reduced to what the client needs:
@@ -533,7 +542,7 @@ func (r *Router) routeCompile(ctx context.Context, key string, cr *server.Compil
 	case up := <-hedged:
 		r.mHedgesWon.Inc()
 		fcancel() // cancel the losing leg through the peer client's context
-		r.logf("ursagw: hedge won for %s…", key[:8])
+		r.logf("ursagw: hedge won for %s", shortKey(key))
 		return up, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -733,7 +742,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleCache(w http.ResponseWriter, req *http.Request) {
 	key := strings.TrimPrefix(req.URL.Path, "/v1/cache/")
-	if key == "" || strings.ContainsAny(key, "/.") || len(key) > 128 {
+	if !store.ValidKey(key) {
 		r.writeError(w, http.StatusBadRequest, "bad cache key")
 		return
 	}

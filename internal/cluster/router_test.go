@@ -469,6 +469,68 @@ func TestRouterSpillover(t *testing.T) {
 	}
 }
 
+// TestRouterSpilloverShortKey: a cache lookup whose key is shorter than
+// the router's log abbreviation, routed while its owner's queue is deep,
+// is forwarded to the spillover shard and answers that shard's 404 — the
+// spillover log line must not slice past the key.
+func TestRouterSpilloverShortKey(t *testing.T) {
+	a, b := newStubShard(t), newStubShard(t)
+	router := stubRouter(t, func(c *Config) {
+		c.SpillDepth = 8
+		c.ProbeInterval = 20 * time.Millisecond
+	}, a, b)
+	gw := httptest.NewServer(router.Handler())
+	defer gw.Close()
+
+	const key = "ab"
+	owner := a
+	if router.Ring().Owner(key) == b.ts.URL {
+		owner = b
+	}
+	owner.mu.Lock()
+	owner.queued = 100
+	owner.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for router.backs[owner.ts.URL].queued.Load() != 100 {
+		if time.Now().After(deadline) {
+			t.Fatal("probe never saw the owner's queue depth")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	resp, err := gw.Client().Get(gw.URL + "/v1/cache/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/cache/%s = %d; want the spillover shard's 404", key, resp.StatusCode)
+	}
+	if router.mSpillovers.Value() == 0 {
+		t.Error("the lookup did not spill over")
+	}
+}
+
+// TestCacheKeyRejections: ursad and ursagw refuse the same malformed
+// cache keys with 400, before any lookup or forwarding.
+func TestCacheKeyRejections(t *testing.T) {
+	fleet, router := newFleet(t, 1, nil)
+	gw := httptest.NewServer(router.Handler())
+	defer gw.Close()
+	for _, key := range []string{"a", "a.b", "a%20b", strings.Repeat("a", 129)} {
+		for name, base := range map[string]string{"ursad": fleet[0].ts.URL, "ursagw": gw.URL} {
+			resp, err := http.Get(base + "/v1/cache/" + key)
+			if err != nil {
+				t.Fatalf("%s GET %q: %v", name, key, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s GET /v1/cache/%s = %d; want 400", name, key, resp.StatusCode)
+			}
+		}
+	}
+}
+
 // TestRouterHedge: a slow owner races the peer cache tier; the cached
 // artifact wins, the response is synthesized from it, and the losing leg
 // is cancelled through its context.

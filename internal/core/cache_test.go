@@ -80,3 +80,34 @@ func TestCacheAcrossLimits(t *testing.T) {
 		}
 	}
 }
+
+// TestScoreCandidatesMeasuresOnlyCommittedState: candidate scoring takes
+// widths directly, so a ScoreCandidates round whose slate includes spill
+// candidates looks up the cache once per resource — the committed state —
+// and never for a candidate graph.
+func TestScoreCandidatesMeasuresOnlyCommittedState(t *testing.T) {
+	g, err := dag.Build(workload.PaperExample(true).Blocks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.VLIW(2, 2)
+	c := measure.NewCache()
+	scores, err := ScoreCandidates(g, Options{Machine: m, Cache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spills := 0
+	for _, s := range scores {
+		if !s.Candidate.SeqOnly() && s.OK {
+			spills++
+		}
+	}
+	if spills == 0 {
+		t.Fatalf("no spill candidate scored among %d; the fixture no longer covers the spill path", len(scores))
+	}
+	hits, misses := c.Stats()
+	if want := uint64(len(Resources(g, m))); hits+misses != want {
+		t.Fatalf("cache saw %d lookups (%d hits, %d misses) for %d resources and %d candidates (%d spills); want one per resource",
+			hits+misses, hits, misses, want, len(scores), spills)
+	}
+}

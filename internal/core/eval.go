@@ -26,12 +26,11 @@ type evalOutcome struct {
 }
 
 // iterState is the per-iteration committed state every candidate is scored
-// against: the committed graph's hammocks and nest levels plus its
-// measurements. It is derived once per committed generation (memoized in
-// the evaluator) and shared by the main loop and every candidate worker.
+// against: the committed graph's hammocks plus its measurements. It is
+// derived once per committed generation (memoized in the evaluator) and
+// shared by the main loop and every candidate worker.
 type iterState struct {
 	hammocks []*dag.Hammock
-	levels   []int
 	results  map[string]*measure.Result
 	excess   int
 }
@@ -43,20 +42,27 @@ type iterState struct {
 // internal/driver.
 //
 // Every candidate, on every target family, is applied to the worker's
-// scratch graph through a reusable transform.UndoLog, measured, and
-// reverted. Sequencing-only candidates update the scratch copy of the
-// closure with order.Relation.AddClosureEdge, rederive each resource's
-// reuse pairs into pooled relation storage (reuse.Reuse.UpdateClosureInto),
-// and warm-start the matching from the committed measurement with a pooled
-// matcher (measure.ChainsDeltaWidth); a register resource whose kill
-// selection shifted is remeasured from scratch instead. Per-cluster
+// scratch graph through a reusable transform.UndoLog, scored, and reverted.
+// A score needs only widths, and a width is the item count less a maximum
+// matching, so candidates never go through the measurement cache, the
+// fingerprint, the hammocks or the nesting levels: measure.Width is the one
+// scoring primitive. Sequencing-only candidates update the scratch copy of
+// the closure with order.Relation.AddClosureEdge and rederive each
+// resource's reuse pairs into pooled relation storage
+// (reuse.Reuse.UpdateClosureInto). The matching is warm-started from the
+// committed measurement when the resource's kill vector is unchanged, and
+// runs cold on the relation already filled when a kill shifted. Per-cluster
 // register files and exposed-datapath buffers are ordinary reuse item sets,
-// so they take the same delta. Spill and copy-spill payloads — which add
-// nodes and rewrite operands or opcodes, so no cheap delta exists — are
-// measured from scratch through the cache. On sequencing candidates the
-// evaluator allocates nothing in steady state: graphs, closures, relations,
-// matchers, and analysis buffers all reset in place across candidates and
-// across reduction iterations.
+// so they take the same path. Spill and copy-spill payloads — which add
+// nodes and rewrite operands or opcodes, so no cheap delta exists — rebuild
+// each resource's reuse structure and match it cold. On sequencing
+// candidates the evaluator allocates nothing in steady state: graphs,
+// closures, relations, matchers, and analysis buffers all reset in place
+// across candidates and across reduction iterations.
+//
+// Only the committed graph is measured in full (prioritized chains, for the
+// excess sets), through Options.Cache: it serves the repeats across a Run's
+// attempts and, in ursad, across requests.
 //
 // Every score equals the from-scratch definition — clone, apply, measure
 // every resource, take the critical path — because a maximum matching is a
@@ -124,6 +130,26 @@ type scratchRes struct {
 	usesGen int
 }
 
+// update fills rs.ru with prev's reuse structure rederived on the
+// candidate graph g, whose closure is reach and node depths depths, and
+// reports whether prev's kills held (see reuse.Reuse.UpdateClosureInto).
+// gen is the committed generation g was cloned or replayed from: use lists
+// are recomputed once per generation.
+func (rs *scratchRes) update(g *dag.Graph, reach *order.Relation, depths []int, prev *reuse.Reuse, gen int) bool {
+	n := prev.NumItems()
+	if rs.rel == nil || rs.rel.Size() != n {
+		rs.rel = order.NewRelation(n)
+	} else {
+		rs.rel.Reset()
+	}
+	if prev.IsReg && rs.usesGen != gen {
+		rs.ks.PrecomputeUses(g, prev.Items)
+		rs.usesGen = gen
+	}
+	rs.ru.Rel = rs.rel
+	return prev.UpdateClosureInto(g, reach, depths, &rs.ks, &rs.ru)
+}
+
 func newEvaluator(g *dag.Graph, resources []Resource, lat func(*dag.Node) int, opts *Options) *evaluator {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -157,7 +183,6 @@ func (e *evaluator) state() *iterState {
 	}
 	st := &iterState{results: make(map[string]*measure.Result, len(e.resources))}
 	st.hammocks = e.g.Hammocks()
-	st.levels = e.g.NestLevels(st.hammocks)
 	for _, r := range e.resources {
 		res := e.opts.Cache.Measure(e.g, r.Name, r.Build)
 		st.results[r.Name] = res
@@ -296,18 +321,19 @@ func (e *evaluator) evalAll(cands []scored) ([]evalOutcome, error) {
 }
 
 // evalIncremental scores a candidate on the worker's scratch graph through
-// the reusable undo log: apply, measure, revert. Sequencing-only candidates
-// are measured by pooled closure update plus warm-started matching; spill
-// and copy-spill payloads (and register resources whose kill selection
-// shifted) fall back to a full from-scratch measurement through the cache.
+// the reusable undo log: apply, take every resource's width, revert. Each
+// width comes from one of two sources: a sequencing candidate's pooled
+// closure update, warm-started from the committed matching while the kills
+// hold, or, for spills and copy-spills, a cold rebuild of the resource.
 func (e *evaluator) evalIncremental(sc *evalScratch, st *iterState, s scored) evalOutcome {
 	if err := s.cand.ApplyLog(sc.g, &sc.log); err != nil {
 		return evalOutcome{s: s}
 	}
 	defer sc.log.Revert()
 
-	excess := 0
-	if s.cand.SeqOnly() {
+	seq := s.cand.SeqOnly()
+	var depths []int
+	if seq {
 		if sc.reach == nil || sc.reach.Size() != e.reach.Size() {
 			sc.reach = order.NewRelation(e.reach.Size())
 		}
@@ -315,46 +341,27 @@ func (e *evaluator) evalIncremental(sc *evalScratch, st *iterState, s scored) ev
 		for _, ed := range sc.log.Added() {
 			sc.reach.AddClosureEdge(ed[0], ed[1])
 		}
-		depths := sc.g.DepthsInto(&sc.topo)
-		for ri := range e.resources {
-			r := &e.resources[ri]
-			prev := st.results[r.Name]
+		depths = sc.g.DepthsInto(&sc.topo)
+	}
+	excess := 0
+	for ri := range e.resources {
+		r := &e.resources[ri]
+		var warm *measure.Result // nil: match cold
+		var ru *reuse.Reuse
+		if seq {
 			rs := &sc.res[ri]
-			n := prev.R.NumItems()
-			if rs.rel == nil || rs.rel.Size() != n {
-				rs.rel = order.NewRelation(n)
-			} else {
-				rs.rel.Reset()
+			warm = st.results[r.Name]
+			if !rs.update(sc.g, sc.reach, depths, warm.R, e.gen) {
+				// A kill shifted: the committed matching may not be a
+				// matching of the new order.
+				warm = nil
 			}
-			if r.IsRegister && rs.usesGen != e.gen {
-				rs.ks.PrecomputeUses(sc.g, prev.R.Items)
-				rs.usesGen = e.gen
-			}
-			rs.ru.Rel = rs.rel
-			var w int
-			if prev.R.UpdateClosureInto(sc.g, sc.reach, depths, &rs.ks, &rs.ru) {
-				w = measure.ChainsDeltaWidth(prev, &rs.ru, st.levels, &sc.delta)
-			} else {
-				// Kill selection shifted: the old matching may no longer be
-				// a matching of the new order. Full rebuild for this
-				// resource.
-				w = e.opts.Cache.Measure(sc.g, r.Name, r.Build).Width
-			}
-			if d := w - r.Limit; d > 0 {
-				excess += d
-			}
+			ru = &rs.ru
+		} else {
+			ru = r.Build(sc.g)
 		}
-	} else {
-		// Spills and copy-spills restructure values — they add nodes and
-		// rewrite uses or opcodes — so no cheap delta exists; re-measure every resource from scratch
-		// through the cache, which still collapses repeats of the same
-		// transformed state across styles and plateau scans.
-		for ri := range e.resources {
-			r := &e.resources[ri]
-			res := e.opts.Cache.Measure(sc.g, r.Name, r.Build)
-			if d := res.Width - r.Limit; d > 0 {
-				excess += d
-			}
+		if d := measure.Width(warm, ru, &sc.delta) - r.Limit; d > 0 {
+			excess += d
 		}
 	}
 	crit := sc.g.CriticalPathLen(e.lat, &sc.topo)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ursa/internal/dag"
-	"ursa/internal/measure"
 	"ursa/internal/transform"
 )
 
@@ -38,9 +37,6 @@ func ScoreCandidates(g *dag.Graph, opts Options) ([]CandidateScore, error) {
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.Cache == nil {
-		opts.Cache = measure.NewCache()
 	}
 	resources := Resources(g, m)
 	lat := func(n *dag.Node) int { return m.LatencyOf(n.Instr.Op) }

@@ -66,12 +66,15 @@ type Options struct {
 	DisableSpills bool
 	// DisableSequencing restricts register reduction to spills.
 	DisableSequencing bool
-	// Cache, when non-nil, memoizes measurements across the run (and, if
-	// the caller shares one, across runs). Widths are independent of the
+	// Cache, when non-nil, memoizes the measurements of committed graph
+	// states across the run's baseline and retry attempts (and, if the
+	// caller shares one, across runs). Candidates are scored by width
+	// alone and never consult it. Widths are independent of the
 	// machine's limits, so a shared cache is sound across register-file and
 	// FU-count sweeps; it must not be shared between machines that map the
 	// same resource name onto different instruction sets. When nil, Run
-	// creates a private cache for its internal re-measurements.
+	// creates a private cache for its attempts, and ScoreCandidates, which
+	// measures one committed state, measures it directly.
 	Cache *measure.Cache
 	// Workers bounds the concurrent candidate evaluations per reduction
 	// iteration (driver semantics: zero or negative means GOMAXPROCS, one
@@ -643,9 +646,8 @@ func pickBest(evals []evalOutcome, curExcess int, style scoreStyle) (scored, int
 // pickPlateau returns the best candidate whose total excess equals the
 // current one (an excess-preserving move), preferring spills — they change
 // the DAG's value structure and open reductions sequencing cannot reach.
-// It reuses the iteration's outcomes: the old code re-applied and
-// re-measured every spill candidate here, which the measurement cache
-// collapsed into pure repeats anyway.
+// It reuses the iteration's outcomes rather than re-applying and
+// re-measuring the spill candidates.
 func pickPlateau(evals []evalOutcome, curExcess int) (scored, int, bool) {
 	type outcome struct {
 		s      scored

@@ -9,15 +9,16 @@ import (
 	"ursa/internal/reuse"
 )
 
-// Cache is an incremental measurement cache: it memoizes Measure results
-// keyed by a canonical DAG+resource fingerprint (the graph's content hash
-// plus the resource's name). The URSA driver re-measures every resource
-// after every tentative and committed transformation; most transformations
-// leave most resources' reuse relations untouched, and the driver's
-// tentative-apply loop measures the same transformed graph several times
-// (once as a candidate, once more when the winner is committed, again in
-// plateau scans). All of those repeats become cache hits that skip both
-// the reuse-structure construction and the O(N³) prioritized matching.
+// Cache memoizes the measurements of committed graph states, keyed by a
+// canonical DAG+resource fingerprint (the graph's content hash plus the
+// resource's name). It serves two kinds of repeat: within one core.Run, the
+// untransformed baseline and every retry style start from clones of the same
+// graph and commit overlapping transformed states; in ursad, one cache
+// shared across requests turns a repeated or overlapping compile's
+// measurements into hits. Candidate scoring does not go through the cache:
+// the evaluator computes widths directly (see Width), so a hit skips the
+// reuse-structure construction, the hammock analysis and the O(N³)
+// prioritized matching of a committed state only.
 //
 // Cached results are shared: callers must treat a *Result obtained through
 // the cache as immutable (every current consumer does — excess-set
@@ -153,12 +154,6 @@ func (c *Cache) Coalesced() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.coalesced
-}
-
-// Len returns the number of cached measurements.
-func (c *Cache) Len() int {
-	n, _ := c.Entries()
-	return n
 }
 
 // Entries reports the cache's current size: the number of cached

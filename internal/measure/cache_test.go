@@ -82,7 +82,7 @@ func TestCacheNilReceiver(t *testing.T) {
 	if want := Measure(buildFU(g)); res.Width != want.Width {
 		t.Fatalf("nil cache width = %d, want %d", res.Width, want.Width)
 	}
-	if c.Len() != 0 {
+	if n, _ := c.Entries(); n != 0 {
 		t.Fatal("nil cache has entries")
 	}
 	if h, m := c.Stats(); h != 0 || m != 0 {
@@ -127,8 +127,8 @@ func TestCacheConcurrent(t *testing.T) {
 	for msg := range errc {
 		t.Fatal(msg)
 	}
-	if c.Len() != len(graphs) {
-		t.Fatalf("cache has %d entries, want %d", c.Len(), len(graphs))
+	if n, _ := c.Entries(); n != len(graphs) {
+		t.Fatalf("cache has %d entries, want %d", n, len(graphs))
 	}
 }
 
@@ -231,8 +231,8 @@ func TestCacheSingleFlight(t *testing.T) {
 			t.Fatal("coalesced callers got different result pointers")
 		}
 	}
-	if c.Len() != 1 {
-		t.Fatalf("cache has %d entries, want 1", c.Len())
+	if n, _ := c.Entries(); n != 1 {
+		t.Fatalf("cache has %d entries, want 1", n)
 	}
 	if c.Coalesced() == 0 {
 		t.Fatal("no coalesced waits recorded")
@@ -267,7 +267,7 @@ func TestCachePanicReleasesKey(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Measure after a panicking build hung: the key is still in flight")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("cache has %d entries, want 1", c.Len())
+	if n, _ := c.Entries(); n != 1 {
+		t.Fatalf("cache has %d entries, want 1", n)
 	}
 }

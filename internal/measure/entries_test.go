@@ -36,11 +36,6 @@ func TestCacheEntriesBytes(t *testing.T) {
 	if n, b := c.Entries(); n != 2 || b <= b1 {
 		t.Errorf("after second miss: entries=%d bytes=%d (was %d)", n, b, b1)
 	}
-
-	// Entries and Len agree.
-	if c.Len() != 2 {
-		t.Errorf("Len() = %d, want 2", c.Len())
-	}
 }
 
 // TestNilCacheEntries: the nil cache reports empty.

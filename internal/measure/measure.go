@@ -43,12 +43,11 @@ type relEdge struct {
 	prio int
 }
 
-// sortedEdgesInto lists the reuse order's pairs, appended to dst[:0],
-// sorted by (priority, a, b): the canonical order in which the prioritized
-// matcher consumes them. The key is a total order, so the sort is
-// deterministic.
-func sortedEdgesInto(dst []relEdge, r *reuse.Reuse, levels []int) []relEdge {
-	dst = dst[:0]
+// sortedEdges lists the reuse order's pairs sorted by (priority, a, b):
+// the canonical order in which the prioritized matcher consumes them. The
+// key is a total order, so the sort is deterministic.
+func sortedEdges(r *reuse.Reuse, levels []int) []relEdge {
+	var dst []relEdge
 	for a := 0; a < r.NumItems(); a++ {
 		r.Rel.Row(a).ForEach(func(b int) {
 			prio := 0
@@ -98,7 +97,7 @@ func augmentBatches(m *matching.Incremental, edges []relEdge) {
 func Chains(r *reuse.Reuse, levels []int) *Result {
 	n := r.NumItems()
 	m := matching.NewIncremental(n, n)
-	augmentBatches(m, sortedEdgesInto(nil, r, levels))
+	augmentBatches(m, sortedEdges(r, levels))
 	return buildResult(r, m)
 }
 

@@ -5,12 +5,11 @@ import (
 	"ursa/internal/reuse"
 )
 
-// DeltaScratch holds the reusable buffers behind ChainsDeltaWidth: a pooled
-// incremental matcher plus edge and pair slices. One scratch belongs to one
-// evaluator worker; the zero value is ready to use.
+// DeltaScratch holds the reusable buffers behind Width: a pooled matcher
+// and the seed pairs. One scratch belongs to one evaluator worker; the
+// zero value is ready to use.
 type DeltaScratch struct {
 	m     *matching.Incremental
-	edges []relEdge
 	pairs []int
 }
 
@@ -35,51 +34,34 @@ func pairsInto(dst []int, prev *Result) []int {
 	return dst
 }
 
-// ChainsDeltaWidth returns the width of the minimum chain decomposition of
-// an updated reuse order — exactly the width Chains computes from scratch —
+// Width returns the width of the reuse order r — its item count less a
+// maximum matching, exactly Chains(r, levels).Width for any levels —
 // without building the decomposition and without allocating in steady
-// state: the matcher, edge list, and seed pairs all live in the scratch.
-// This is the candidate evaluator's scoring primitive.
+// state. It is the candidate evaluator's only scoring primitive: hammock
+// priorities choose which maximum matching Chains finds, never its size,
+// so scoring needs neither hammocks nor nesting levels.
 //
-// When prev measures the same item set under a subset of r's pairs — the
-// situation after sequencing edges are added to the graph, since reuse
-// orders only gain pairs (see reuse.Reuse.UpdateClosureInto) — the matcher
-// is warm-started: prev's maximum matching remains a valid matching over
-// the enlarged edge set, so it is reseeded verbatim and augmentation runs
-// only for the added edges, fed in the same prioritized batches as a cold
-// run. The width is exactly the from-scratch width, because
-// augmenting-path maximality does not depend on the starting matching. When
-// prev is nil or describes a different item set, the matching runs cold.
-func ChainsDeltaWidth(prev *Result, r *reuse.Reuse, levels []int, s *DeltaScratch) int {
+// prev may warm-start the matching. The caller guarantees that when prev
+// covers the same item set, every pair of prev's decomposition is a pair
+// of r — true after sequencing edges leave the kill vector unchanged, since
+// reuse orders then only gain pairs (see reuse.Reuse.UpdateClosureInto).
+// Kuhn's augmentation reaches a maximum matching from any valid start, in
+// any edge order, so the width is the from-scratch width either way. With
+// prev nil or over a different item set, the matching runs cold.
+func Width(prev *Result, r *reuse.Reuse, s *DeltaScratch) int {
 	n := r.NumItems()
-	s.edges = sortedEdgesInto(s.edges, r, levels)
-	edges := s.edges
 	if s.m == nil {
 		s.m = matching.NewIncremental(n, n)
 	} else {
 		s.m.Reset(n, n)
 	}
 	m := s.m
-
 	if prev != nil && prev.R != nil && prev.R.NumItems() == n {
-		// Partition in place into surviving and fresh edges. The surviving
-		// edges go straight into the matcher (the seeded matching already
-		// covers them maximally); the fresh ones are compacted to the front
-		// of the buffer, preserving their priority order.
-		old := prev.R.Rel
-		nf := 0
-		for _, e := range edges {
-			if old.Has(e.a, e.b) {
-				m.AddEdge(e.a, e.b)
-			} else {
-				edges[nf] = e
-				nf++
-			}
-		}
-		edges = edges[:nf]
 		s.pairs = pairsInto(s.pairs, prev)
 		m.Seed(s.pairs)
 	}
-	augmentBatches(m, edges)
-	return n - m.Size()
+	for a := 0; a < n; a++ {
+		r.Rel.Row(a).ForEach(func(b int) { m.AddEdge(a, b) })
+	}
+	return n - m.Augment()
 }

@@ -10,11 +10,12 @@ import (
 	"ursa/internal/reuse"
 )
 
-// TestChainsDeltaWidthMatchesChains drives one reused scratch through many
-// random graphs — both the cold path (no previous result) and the
-// warm-start path seeded from a measurement of a random pair subset — and
-// requires the pooled width to equal the from-scratch Chains width exactly.
-func TestChainsDeltaWidthMatchesChains(t *testing.T) {
+// TestWidthMatchesChains drives one reused scratch through many random
+// graphs — both the cold path (no previous result) and the warm-start path
+// seeded from a measurement of a random pair subset — and requires the
+// pooled width to equal the from-scratch Chains width exactly, with and
+// without hammock priorities.
+func TestWidthMatchesChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var s DeltaScratch
 	for trial := 0; trial < 60; trial++ {
@@ -27,8 +28,10 @@ func TestChainsDeltaWidthMatchesChains(t *testing.T) {
 		levels := g.NestLevels(hs)
 		for _, r := range []*reuse.Reuse{reuse.FU(g, reuse.AllFUs), reuse.Reg(g, ir.ClassInt)} {
 			full := Chains(r, levels)
-			if w := ChainsDeltaWidth(nil, r, levels, &s); w != full.Width {
-				t.Fatalf("trial %d: cold width %d != %d", trial, w, full.Width)
+			cold, plain := Width(nil, r, &s), Chains(r, nil).Width
+			if cold != plain || plain != full.Width {
+				t.Fatalf("trial %d: cold width %d, unprioritized Chains %d, prioritized Chains %d",
+					trial, cold, plain, full.Width)
 			}
 
 			// Warm start from a random subset of the pairs.
@@ -44,7 +47,7 @@ func TestChainsDeltaWidthMatchesChains(t *testing.T) {
 			rsub := *r
 			rsub.Rel = sub
 			prev := Chains(&rsub, levels)
-			if w := ChainsDeltaWidth(prev, r, levels, &s); w != full.Width {
+			if w := Width(prev, r, &s); w != full.Width {
 				t.Fatalf("trial %d: warm width %d != %d", trial, w, full.Width)
 			}
 		}

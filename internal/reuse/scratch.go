@@ -1,6 +1,8 @@
 package reuse
 
 import (
+	"slices"
+
 	"ursa/internal/dag"
 	"ursa/internal/ir"
 	"ursa/internal/order"
@@ -179,28 +181,32 @@ func SelectKillsInto(g *dag.Graph, items []Item, reach *order.Relation, depth []
 // sequencing edges were added, given reach — the graph's updated
 // node-reachability closure, typically maintained in place via
 // order.Relation.AddClosureEdge. Sequencing adds no instructions and
-// removes no uses, so the item set is unchanged and CanReuse_R can only
-// gain pairs. dst receives the updated structure: it shares Items (and
-// Kill, for register resources) with r, and dst.Rel must already hold a
-// cleared relation over len(r.Items) items (the evaluator keeps one per
-// worker and Resets it between candidates).
+// removes no uses, so the item set is unchanged. dst receives the updated
+// structure, always: it shares Items with r, and dst.Rel must already hold
+// a cleared relation over len(r.Items) items (the evaluator keeps one per
+// worker and Resets it between candidates). The result equals a rebuild on
+// the mutated graph, relation and kills alike.
 //
-// For functional-unit resources the update always succeeds: CanReuse_FU is
-// reachability restricted to the items. For register resources the kill
-// selection is recomputed against the new closure first (depth must equal
-// g.Depths() for the current graph; the scratch must have PrecomputeUses
-// run for this item set). Added reachability can demote a use from maximal
-// or shift the greedy minimum cover, and when the kill vector changes the
-// old matching is no longer guaranteed to stay valid, so UpdateClosureInto
-// reports false and the caller must fall back to a full rebuild (the same
-// fallback spill candidates always take, since they restructure values).
+// For functional-unit resources CanReuse_FU is reachability restricted to
+// the items, so the order can only gain pairs. For register resources the
+// kill selection is recomputed against the new closure first (depth must
+// equal g.Depths() for the current graph; the scratch must have
+// PrecomputeUses run for this item set). Added reachability can demote a
+// use from maximal or shift the greedy minimum cover.
+//
+// UpdateClosureInto reports whether the kill vector is unchanged. If it
+// is, dst shares r.Kill and CanReuse_R only gained pairs, so a matching of
+// r's order is still a matching of dst's. If the kills moved, dst.Kill is
+// the selection just made: it is owned by ks and valid only until ks's
+// next kill selection, and r's matching may not be a matching of dst's
+// order.
 func (r *Reuse) UpdateClosureInto(g *dag.Graph, reach *order.Relation, depth []int, ks *KillScratch, dst *Reuse) bool {
+	kill, same := r.Kill, true
 	if r.IsReg {
-		kill := SelectKillsInto(g, r.Items, reach, depth, ks)
-		for i := range kill {
-			if kill[i] != r.Kill[i] {
-				return false
-			}
+		kill = SelectKillsInto(g, r.Items, reach, depth, ks)
+		same = slices.Equal(kill, r.Kill)
+		if same {
+			kill = r.Kill
 		}
 	}
 
@@ -209,12 +215,12 @@ func (r *Reuse) UpdateClosureInto(g *dag.Graph, reach *order.Relation, depth []i
 		Graph: g,
 		Items: r.Items,
 		Rel:   rel,
-		Kill:  r.Kill,
+		Kill:  kill,
 		IsReg: r.IsReg,
 		Class: r.Class,
 	}
-	fillRel(rel, r.Items, r.Kill, reach)
-	return true
+	fillRel(rel, r.Items, kill, reach)
+	return same
 }
 
 // growInts returns a length-n int slice reusing s's storage when possible.

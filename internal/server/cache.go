@@ -26,7 +26,7 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := strings.TrimPrefix(r.URL.Path, "/v1/cache/")
-	if key == "" || strings.ContainsAny(key, "/.") || len(key) > 128 {
+	if !store.ValidKey(key) {
 		s.writeError(w, http.StatusBadRequest, "bad cache key")
 		return
 	}

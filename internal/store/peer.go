@@ -73,7 +73,7 @@ func (p *PeerClient) Get(key string) ([]byte, bool) {
 // another source (the router's hedged fallback) can cancel the losing
 // leg instead of letting it run to the deadline.
 func (p *PeerClient) GetCtx(ctx context.Context, key string) ([]byte, bool) {
-	if p == nil || !validKey(key) {
+	if p == nil || !ValidKey(key) {
 		return nil, false
 	}
 	p.gets.Add(1)
@@ -118,7 +118,7 @@ func (p *PeerClient) Put(key string, data []byte) {
 
 // PutCtx is Put under a caller context (plus the client timeout).
 func (p *PeerClient) PutCtx(ctx context.Context, key string, data []byte) {
-	if p == nil || !validKey(key) {
+	if p == nil || !ValidKey(key) {
 		return
 	}
 	p.puts.Add(1)

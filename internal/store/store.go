@@ -125,7 +125,7 @@ func (s *Store) load() error {
 			if err != nil || !info.Mode().IsRegular() {
 				continue
 			}
-			if !validKey(f.Name()) {
+			if !ValidKey(f.Name()) {
 				continue
 			}
 			all = append(all, found{key: f.Name(), size: info.Size(), mtime: info.ModTime().UnixNano()})
@@ -140,9 +140,11 @@ func (s *Store) load() error {
 	return nil
 }
 
-// validKey reports whether key is safe to use as a file name: hex-ish
-// characters only, bounded length, no path separators or dots.
-func validKey(key string) bool {
+// ValidKey reports whether key is safe to use as a file name: 2 to 128
+// characters from [A-Za-z0-9_-], so no path separators, dots or spaces.
+// It is the one key check of the cache protocol: the store, the peer
+// client, and the /v1/cache handlers of ursad and ursagw all apply it.
+func ValidKey(key string) bool {
 	if len(key) < 2 || len(key) > 128 {
 		return false
 	}
@@ -170,7 +172,7 @@ func (s *Store) path(key string) string {
 // missing file, short file, sha256 mismatch — is a miss; a corrupt file
 // is additionally removed and counted, so the next Put can heal it.
 func (s *Store) Get(key string) ([]byte, bool) {
-	if s == nil || !validKey(key) {
+	if s == nil || !ValidKey(key) {
 		return nil, false
 	}
 	s.mu.Lock()
@@ -240,7 +242,7 @@ func (s *Store) Put(key string, data []byte) error {
 	if s == nil {
 		return nil
 	}
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return ErrBadKey
 	}
 	size := int64(len(data) + hashSize)
