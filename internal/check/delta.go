@@ -30,14 +30,17 @@ const deltaSpillReplays = OracleDelta + ".spills"
 //
 //   - every core.ScoreCandidates outcome — sequencing, spill and copy-spill
 //     alike — equals clone, Apply, Measure every resource, CriticalPath;
-//   - replayed sequencing candidates: the in-place closure, the updated
-//     relation and kills, and the width equal from-scratch rebuilds, kill
-//     shifts included, and the kill-shift report is exact
+//   - replayed sequencing candidates: the closure Apply maintained, the
+//     updated relation and kills, and the width equal from-scratch
+//     rebuilds, kill shifts included, and the kill-shift report is exact
 //     (checkDeltaCandidate);
-//   - replayed spill and copy-spill candidates, on their own budget, equal
-//     clone+Apply (checkSpillCandidate);
-//   - every UndoLog.Revert restores the graph fingerprint, since the
-//     evaluator reuses one scratch graph across a worker's candidates;
+//   - replayed spill and copy-spill candidates, on their own budget, yield
+//     a valid graph whose spill wiring matches the from-scratch closure of
+//     the result (checkSpillCandidate);
+//   - a refused application leaves the graph, its node count and its
+//     register count unchanged, and every UndoLog.Revert restores them,
+//     since the evaluator reuses one scratch graph across a worker's
+//     candidates;
 //   - core.Run emits identical code at one and at four workers.
 //
 // Every target family is covered: clustered register files and
@@ -53,6 +56,8 @@ func checkDelta(rep *Report, c *Case) {
 
 	hammocks := g.Hammocks()
 	baseReach := g.Reach()
+	depths := g.Depths()
+	reach := order.NewRelation(baseReach.Size())
 	base := make(map[string]*measure.Result, len(resources))
 	for _, r := range resources {
 		base[r.Name] = measure.Measure(r.Build(g))
@@ -71,9 +76,10 @@ func checkDelta(rep *Report, c *Case) {
 			for _, set := range measure.FindExcess(res, hammocks, limit) {
 				var cands []*transform.Candidate
 				if r.IsRegister {
-					cands = append(transform.RegSeqCandidates(g, res, set), transform.SpillCandidates(g, res, set)...)
+					cands = append(transform.RegSeqCandidates(g, baseReach, depths, res, set),
+						transform.SpillCandidates(g, depths, res, set)...)
 				} else {
-					cands = transform.FUCandidates(g, res, set)
+					cands = transform.FUCandidates(g, baseReach, depths, res, set)
 				}
 				if m.Clusters > 1 {
 					cands = append(cands, transform.CopySpillCandidates(g, res, set)...)
@@ -86,14 +92,17 @@ func checkDelta(rep *Report, c *Case) {
 					if *replayed >= maxReplays {
 						continue
 					}
-					before := g.Fingerprint()
-					var ref *dag.Graph
-					if !cand.SeqOnly() {
-						ref = g.Clone()
-						ref.Func = g.Func.Clone()
+					before, nodes, regs := g.Fingerprint(), g.NumNodes(), g.Func.NumRegs()
+					unchanged := func() bool {
+						return g.Fingerprint() == before && g.NumNodes() == nodes && g.Func.NumRegs() == regs
 					}
-					if err := cand.ApplyLog(g, &log); err != nil {
-						if g.Fingerprint() != before {
+					var uses []int
+					if cand.Spill != nil {
+						uses = g.UseNodes(cand.Spill.Reg)
+					}
+					reach.CopyFrom(baseReach)
+					if err := cand.Apply(g, reach, &log); err != nil {
+						if !unchanged() {
 							rep.failf(OracleDelta, "%s: refused application left the graph changed", cand)
 							return
 						}
@@ -102,13 +111,13 @@ func checkDelta(rep *Report, c *Case) {
 					*replayed++
 					rep.tick(OracleDelta)
 					if cand.SeqOnly() {
-						checkDeltaCandidate(rep, g, resources, base, baseReach, cand, log.Added(), &sc)
+						checkDeltaCandidate(rep, g, resources, base, reach, cand, &sc)
 					} else {
 						rep.tick(deltaSpillReplays)
-						checkSpillCandidate(rep, g, ref, resources, cand)
+						checkSpillCandidate(rep, g, cand, nodes, uses)
 					}
 					log.Revert()
-					if g.Fingerprint() != before {
+					if !unchanged() {
 						rep.failf(OracleDelta, "%s: revert did not restore the graph", cand)
 						return
 					}
@@ -133,7 +142,7 @@ func checkDeltaScores(rep *Report, g *dag.Graph, m *machine.Config, resources []
 		rep.tick(OracleDelta)
 		cl := g.Clone()
 		cl.Func = g.Func.Clone()
-		err := s.Candidate.Apply(cl)
+		err := s.Candidate.Apply(cl, cl.Reach(), new(transform.UndoLog))
 		if s.OK != (err == nil) {
 			rep.failf(OracleDelta, "%s: scored ok=%v, but Apply on a clone returned %v", s.Candidate, s.OK, err)
 			continue
@@ -163,19 +172,16 @@ type deltaScratch struct {
 }
 
 // checkDeltaCandidate compares, on the already-transformed graph g, the
-// incremental closure and per-resource updates against their from-scratch
-// references: UpdateClosureInto's relation and kills equal a rebuild and it
-// reports a kill shift exactly when the rebuilt kills differ, and the width
-// the evaluator takes — warm-started while the kills hold, cold otherwise —
-// equals the measured width of the rebuild.
+// closure Apply maintained (inc) and the per-resource updates against
+// their from-scratch references: inc equals Graph.Reach, UpdateClosureInto's
+// relation and kills equal a rebuild and it reports a kill shift exactly
+// when the rebuilt kills differ, and the width the evaluator takes —
+// warm-started while the kills hold, cold otherwise — equals the measured
+// width of the rebuild.
 func checkDeltaCandidate(rep *Report, g *dag.Graph, resources []core.Resource,
-	base map[string]*measure.Result, baseReach *order.Relation,
-	cand *transform.Candidate, added [][2]int, sc *deltaScratch) {
+	base map[string]*measure.Result, inc *order.Relation,
+	cand *transform.Candidate, sc *deltaScratch) {
 
-	inc := baseReach.Clone()
-	for _, e := range added {
-		inc.AddClosureEdge(e[0], e[1])
-	}
 	full := g.Reach()
 	for a := 0; a < full.Size(); a++ {
 		for b := 0; b < full.Size(); b++ {
@@ -228,26 +234,42 @@ func checkDeltaCandidate(rep *Report, g *dag.Graph, resources []core.Resource,
 	}
 }
 
-// checkSpillCandidate compares the graph g a spill or copy-spill was just
-// applied to through the undo log against ref, a clone of the pre-apply
-// graph, after applying the same candidate to ref with Apply — the commit
-// path. Both must yield the same graph and the same from-scratch
-// measurement of every resource.
-func checkSpillCandidate(rep *Report, g, ref *dag.Graph, resources []core.Resource, cand *transform.Candidate) {
-	if err := cand.Apply(ref); err != nil {
-		rep.failf(OracleDelta, "%s: Apply on a clone failed after ApplyLog succeeded: %v", cand, err)
+// checkSpillCandidate holds the graph g a spill or copy-spill was just
+// applied to — nodes is g's node count before, uses the spilled value's
+// readers before — to the definition of the transformation, read off the
+// from-scratch closure of the result rather than the pre-apply closure
+// Apply answers its questions from. The graph must stay a valid hammock;
+// for a spill of store st and reload ld, every barrier must reach ld, st
+// must precede exactly the pre-roots that are not the definition or its
+// ancestors, and a use must keep the old register exactly when it reaches
+// ld (a use that could not wait for the reload).
+func checkSpillCandidate(rep *Report, g *dag.Graph, cand *transform.Candidate, nodes int, uses []int) {
+	if err := g.Check(); err != nil {
+		rep.failf(OracleDelta, "%s left an invalid graph: %v", cand, err)
 		return
 	}
-	if g.Fingerprint() != ref.Fingerprint() {
-		rep.failf(OracleDelta, "%s: ApplyLog and clone+Apply produced different graphs", cand)
+	sp := cand.Spill
+	if sp == nil {
 		return
 	}
-	for _, r := range resources {
-		got := measure.Measure(r.Build(g))
-		want := measure.Measure(r.Build(ref))
-		if got.Width != want.Width || len(got.Chains) != len(want.Chains) {
-			rep.failf(OracleDelta, "%s %s: log-applied width %d (%d chains), clone+Apply %d (%d chains)",
-				r.Name, cand, got.Width, len(got.Chains), want.Width, len(want.Chains))
+	st, ld := nodes, nodes+1
+	full := g.Reach()
+	for _, b := range sp.Barrier {
+		if !full.Has(b, ld) {
+			rep.failf(OracleDelta, "%s: barrier %d does not reach the reload", cand, b)
+		}
+	}
+	for _, r := range sp.PreRoots {
+		if want := r != sp.Def && !full.Has(r, sp.Def); g.HasEdge(st, r) != want {
+			rep.failf(OracleDelta, "%s: store->pre-root %d edge %v, want %v", cand, r, !want, want)
+		}
+	}
+	for _, u := range uses {
+		in := g.Nodes[u].Instr
+		kept := in.Index == sp.Reg || slices.Contains(in.Args, sp.Reg)
+		if kept != full.Has(u, ld) {
+			rep.failf(OracleDelta, "%s: use %d kept the old register %v, reaches the reload %v",
+				cand, u, kept, full.Has(u, ld))
 		}
 	}
 }

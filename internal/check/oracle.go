@@ -341,6 +341,8 @@ func checkMonotonicity(rep *Report, c *Case) {
 	}
 	m := c.Mach.Config()
 	hammocks := g.Hammocks()
+	reach, depths := g.Reach(), g.Depths()
+	var log transform.UndoLog
 	applied := 0
 	for _, r := range core.Resources(g, m) {
 		ru := r.Build(g)
@@ -354,17 +356,17 @@ func checkMonotonicity(rep *Report, c *Case) {
 			for _, set := range sets {
 				var cands []*transform.Candidate
 				if r.IsRegister {
-					cands = append(cands, transform.RegSeqCandidates(g, res, set)...)
-					cands = append(cands, transform.SpillCandidates(g, res, set)...)
+					cands = append(cands, transform.RegSeqCandidates(g, reach, depths, res, set)...)
+					cands = append(cands, transform.SpillCandidates(g, depths, res, set)...)
 				} else {
-					cands = append(cands, transform.FUCandidates(g, res, set)...)
+					cands = append(cands, transform.FUCandidates(g, reach, depths, res, set)...)
 				}
 				for _, cand := range cands {
 					if applied >= monoCandidateLimit {
 						break
 					}
 					cl := g.Clone()
-					if err := cand.Apply(cl); err != nil {
+					if err := cand.Apply(cl, reach.Clone(), &log); err != nil {
 						continue // inapplicable candidates are allowed to refuse
 					}
 					applied++

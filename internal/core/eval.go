@@ -25,12 +25,14 @@ type evalOutcome struct {
 	crit   int
 }
 
-// iterState is the per-iteration committed state every candidate is scored
-// against: the committed graph's hammocks plus its measurements. It is
-// derived once per committed generation (memoized in the evaluator) and
-// shared by the main loop and every candidate worker.
+// iterState is the per-iteration committed state every candidate is
+// generated from and scored against: the committed graph's hammocks, node
+// depths and measurements. It is derived once per committed generation
+// (memoized in the evaluator) and shared by the main loop and every
+// candidate worker.
 type iterState struct {
 	hammocks []*dag.Hammock
+	depths   []int
 	results  map[string]*measure.Result
 	excess   int
 }
@@ -42,13 +44,16 @@ type iterState struct {
 // internal/driver.
 //
 // Every candidate, on every target family, is applied to the worker's
-// scratch graph through a reusable transform.UndoLog, scored, and reverted.
+// scratch graph through a reusable transform.UndoLog, scored, and reverted;
+// the winner is applied to the committed graph through the same
+// transform.Candidate.Apply.
 // A score needs only widths, and a width is the item count less a maximum
 // matching, so candidates never go through the measurement cache, the
 // fingerprint, the hammocks or the nesting levels: measure.Width is the one
-// scoring primitive. Sequencing-only candidates update the scratch copy of
-// the closure with order.Relation.AddClosureEdge and rederive each
-// resource's reuse pairs into pooled relation storage
+// scoring primitive. Each application tests its sequencing edges against a
+// scratch copy of the committed closure and keeps that copy closed
+// (order.Relation.AddClosureEdge); sequencing-only candidates then
+// rederive each resource's reuse pairs into pooled relation storage
 // (reuse.Reuse.UpdateClosureInto). The matching is warm-started from the
 // committed measurement when the resource's kill vector is unchanged, and
 // runs cold on the relation already filled when a kill shifted. Per-cluster
@@ -86,6 +91,7 @@ type evaluator struct {
 	// memoized iteration state, the closure, and each scratch describe.
 	gen   int
 	reach *order.Relation // committed graph's closure
+	log   transform.UndoLog
 	// commits[i] records the transformation that moved generation i to i+1,
 	// so stale scratches can replay instead of re-cloning.
 	commits []commitRec
@@ -108,8 +114,8 @@ type commitRec struct {
 
 // evalScratch is one worker's private reusable state: a clone of the
 // committed graph (with a cloned Func) that candidates mutate and revert, a
-// closure buffer reset from the committed closure per candidate, the undo
-// log, and the per-resource measurement scratch.
+// closure buffer copied from the committed closure before each
+// application, the undo log, and the per-resource measurement scratch.
 type evalScratch struct {
 	g     *dag.Graph
 	gen   int // generation sc.g matches
@@ -183,6 +189,7 @@ func (e *evaluator) state() *iterState {
 	}
 	st := &iterState{results: make(map[string]*measure.Result, len(e.resources))}
 	st.hammocks = e.g.Hammocks()
+	st.depths = e.g.Depths()
 	for _, r := range e.resources {
 		res := e.opts.Cache.Measure(e.g, r.Name, r.Build)
 		st.results[r.Name] = res
@@ -194,14 +201,15 @@ func (e *evaluator) state() *iterState {
 	return st
 }
 
-// commit records that the candidate was just applied to the committed
-// graph: it advances the generation, invalidates the memoized iteration
-// state, and updates the closure — in place for sequencing commits,
-// recomputed for spills (which add nodes).
-//
-// The caller must call commit after every Candidate.Apply on e.g and
-// before the next state or evalAll.
-func (e *evaluator) commit(c *transform.Candidate) {
+// commit applies the candidate to the committed graph and records it: it
+// advances the generation and invalidates the memoized iteration state.
+// Apply keeps the closure current across sequencing edges; a spill or
+// copy-spill adds nodes, so the closure is recomputed after one. A refused
+// commit leaves the closure stale, and the run ends with the error.
+func (e *evaluator) commit(c *transform.Candidate) error {
+	if err := c.Apply(e.g, e.reach, &e.log); err != nil {
+		return err
+	}
 	rec := commitRec{spill: !c.SeqOnly()}
 	if !rec.spill {
 		rec.edges = c.Edges
@@ -211,11 +219,8 @@ func (e *evaluator) commit(c *transform.Candidate) {
 	e.st = nil
 	if rec.spill {
 		e.reach = e.g.Reach()
-		return
 	}
-	for _, ed := range rec.edges {
-		e.reach.AddClosureEdge(ed[0], ed[1])
-	}
+	return nil
 }
 
 // scratch returns worker w's scratch state, building it on first use and
@@ -326,7 +331,11 @@ func (e *evaluator) evalAll(cands []scored) ([]evalOutcome, error) {
 // closure update, warm-started from the committed matching while the kills
 // hold, or, for spills and copy-spills, a cold rebuild of the resource.
 func (e *evaluator) evalIncremental(sc *evalScratch, st *iterState, s scored) evalOutcome {
-	if err := s.cand.ApplyLog(sc.g, &sc.log); err != nil {
+	if sc.reach == nil || sc.reach.Size() != e.reach.Size() {
+		sc.reach = order.NewRelation(e.reach.Size())
+	}
+	sc.reach.CopyFrom(e.reach)
+	if err := s.cand.Apply(sc.g, sc.reach, &sc.log); err != nil {
 		return evalOutcome{s: s}
 	}
 	defer sc.log.Revert()
@@ -334,13 +343,6 @@ func (e *evaluator) evalIncremental(sc *evalScratch, st *iterState, s scored) ev
 	seq := s.cand.SeqOnly()
 	var depths []int
 	if seq {
-		if sc.reach == nil || sc.reach.Size() != e.reach.Size() {
-			sc.reach = order.NewRelation(e.reach.Size())
-		}
-		sc.reach.CopyFrom(e.reach)
-		for _, ed := range sc.log.Added() {
-			sc.reach.AddClosureEdge(ed[0], ed[1])
-		}
 		depths = sc.g.DepthsInto(&sc.topo)
 	}
 	excess := 0

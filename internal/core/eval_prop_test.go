@@ -37,7 +37,7 @@ func reportsEqual(a, b *Report) string {
 func scratchScore(g *dag.Graph, resources []Resource, lat func(*dag.Node) int, c *transform.Candidate) (ok bool, excess, crit int) {
 	cl := g.Clone()
 	cl.Func = g.Func.Clone()
-	if err := c.Apply(cl); err != nil {
+	if err := c.Apply(cl, cl.Reach(), new(transform.UndoLog)); err != nil {
 		return false, 0, 0
 	}
 	for _, r := range resources {
@@ -99,7 +99,7 @@ func TestFreshVsPooledEvaluator(t *testing.T) {
 			if st.excess == 0 {
 				break
 			}
-			cands := collectCandidates(g, resources, st.results, opts, st.hammocks)
+			cands := ev.collectCandidates(st, resources)
 			outs, err := ev.evalAll(cands)
 			if err != nil {
 				t.Fatalf("trial %d iter %d: %v", trial, iter, err)
@@ -123,10 +123,9 @@ func TestFreshVsPooledEvaluator(t *testing.T) {
 			if !improved {
 				break
 			}
-			if err := best.cand.Apply(g); err != nil {
+			if err := ev.commit(best.cand); err != nil {
 				t.Fatalf("trial %d iter %d: committing %s: %v", trial, iter, best.cand, err)
 			}
-			ev.commit(best.cand)
 		}
 		if err := g.Check(); err != nil {
 			t.Fatalf("trial %d: invalid graph after the commits: %v", trial, err)

@@ -43,7 +43,7 @@ func ScoreCandidates(g *dag.Graph, opts Options) ([]CandidateScore, error) {
 
 	ev := newEvaluator(g, resources, lat, &opts)
 	st := ev.state()
-	cands := collectCandidates(g, resources, st.results, opts, st.hammocks)
+	cands := ev.collectCandidates(st, resources)
 	if len(cands) == 0 {
 		return nil, nil
 	}

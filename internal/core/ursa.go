@@ -457,11 +457,11 @@ func runOnce(g *dag.Graph, opts Options, style scoreStyle, maxIters int) (*Repor
 		// the transformed DAG.
 		plateau := 4
 		for rep.Iterations < maxIters && excess > 0 {
-			// One Hammocks pass per iteration (memoized in the evaluator's
-			// generation state), shared by excess-set location and the delta
-			// measurements' priority levels.
+			// One Hammocks and one Depths pass per iteration (memoized in
+			// the evaluator's generation state), shared by excess-set
+			// location and every candidate generator.
 			st := ev.state()
-			cands := collectCandidates(g, phase, st.results, opts, st.hammocks)
+			cands := ev.collectCandidates(st, phase)
 			if len(cands) == 0 {
 				break
 			}
@@ -480,11 +480,10 @@ func runOnce(g *dag.Graph, opts Options, style scoreStyle, maxIters int) (*Repor
 				}
 				plateau--
 			}
-			if err := best.cand.Apply(g); err != nil {
+			if err := ev.commit(best.cand); err != nil {
 				// The scratch applied cleanly, so the real graph must too.
 				return nil, fmt.Errorf("core: committing %s: %v", best.cand, err)
 			}
-			ev.commit(best.cand)
 			rep.Iterations++
 			if best.cand.Kind == transform.Spill || best.cand.Kind == transform.CopySpill {
 				rep.SpillsInserted++
@@ -528,22 +527,23 @@ type scored struct {
 	resource string
 }
 
-// collectCandidates generates reduction candidates for every over-limit
-// resource in the group, using the innermost and outermost excessive sets.
-// hammocks is the committed graph's hammock list, computed once per
-// iteration by the caller. The innermost and outermost sets (and different
-// generators) routinely emit candidates with identical effect; those are
-// kept in place — the selection ranks the exact historical sequence — but
-// the evaluator canonicalizes them by transform.Candidate.Key and measures
-// each distinct effect once.
-func collectCandidates(g *dag.Graph, group []Resource, results map[string]*measure.Result, opts Options, hammocks []*dag.Hammock) []scored {
+// collectCandidates generates reduction candidates on the committed graph
+// for every over-limit resource in the group, using the innermost and
+// outermost excessive sets. The generators read the committed closure and
+// st, the generation's hammocks, depths and measurements. The innermost
+// and outermost sets (and different generators) routinely emit candidates
+// with identical effect; those are kept in place — the selection ranks the
+// exact historical sequence — but the evaluator canonicalizes them by
+// transform.Candidate.Key and measures each distinct effect once.
+func (e *evaluator) collectCandidates(st *iterState, group []Resource) []scored {
+	g, reach, opts := e.g, e.reach, e.opts
 	var out []scored
 	for _, r := range group {
-		res := results[r.Name]
+		res := st.results[r.Name]
 		if res == nil || res.Width <= r.Limit {
 			continue
 		}
-		sets := measure.FindExcess(res, hammocks, r.Limit)
+		sets := measure.FindExcess(res, st.hammocks, r.Limit)
 		if len(sets) == 0 {
 			continue
 		}
@@ -554,17 +554,17 @@ func collectCandidates(g *dag.Graph, group []Resource, results map[string]*measu
 		for _, set := range targets {
 			if r.IsRegister {
 				if !opts.DisableSequencing {
-					for _, c := range transform.RegSeqCandidates(g, res, set) {
+					for _, c := range transform.RegSeqCandidates(g, reach, st.depths, res, set) {
 						out = append(out, scored{c, r.Name})
 					}
 				}
 				if !opts.DisableSpills {
-					for _, c := range transform.SpillCandidates(g, res, set) {
+					for _, c := range transform.SpillCandidates(g, st.depths, res, set) {
 						out = append(out, scored{c, r.Name})
 					}
 				}
 			} else {
-				for _, c := range transform.FUCandidates(g, res, set) {
+				for _, c := range transform.FUCandidates(g, reach, st.depths, res, set) {
 					out = append(out, scored{c, r.Name})
 				}
 			}

@@ -27,8 +27,6 @@ func Build(b *ir.Block, extraLiveOut ...ir.VReg) (*Graph, error) {
 
 	defNode := make(map[ir.VReg]int)
 	var memNodes []int // prior memory ops, in order
-	var branch int = -1
-
 	for _, in := range b.Instrs {
 		// The graph owns a private copy: transformations rewrite operands
 		// and must not corrupt the source block.
@@ -43,34 +41,60 @@ func Build(b *ir.Block, extraLiveOut ...ir.VReg) (*Graph, error) {
 		if in.Dst != ir.NoReg {
 			defNode[in.Dst] = id
 		}
-
-		// Memory ordering.
-		if in.IsMem() {
-			for _, prev := range memNodes {
-				pin := g.Nodes[prev].Instr
-				if (pin.IsStore() || in.IsStore()) && MayAlias(pin, in) {
-					g.AddEdge(prev, id, EdgeMem)
-				}
-			}
-			memNodes = append(memNodes, id)
-		}
-
-		if in.IsBranch() {
-			branch = id
-		}
+		memNodes = g.orderMem(memNodes, id)
 	}
 
-	// The branch, if any, must schedule after every other instruction.
+	// Live-out registers: defined but unused here, plus caller extras.
+	g.LiveOut = ir.LiveOuts(b)
+	for _, v := range extraLiveOut {
+		if _, ok := defNode[v]; ok {
+			g.LiveOut[v] = true
+		}
+	}
+	return g.seal()
+}
+
+// orderMem adds the memory-ordering edges into node id from every earlier
+// memory operation in mem it conflicts with (store/store, store/load,
+// load/store on possibly-aliasing addresses), and returns mem extended by
+// id when id is a memory operation.
+func (g *Graph) orderMem(mem []int, id int) []int {
+	in := g.Nodes[id].Instr
+	if !in.IsMem() {
+		return mem
+	}
+	for _, prev := range mem {
+		pin := g.Nodes[prev].Instr
+		if (pin.IsStore() || in.IsStore()) && MayAlias(pin, in) {
+			g.AddEdge(prev, id, EdgeMem)
+		}
+	}
+	return append(mem, id)
+}
+
+// seal finishes a region graph whose instruction and dependence edges are
+// in place: it sequences the last branch, if any, after every other
+// instruction, adds the root/leaf edges that make the region a hammock,
+// and validates the result.
+func (g *Graph) seal() (*Graph, error) {
+	instrs := g.InstrNodes()
+	branch := -1
+	for _, n := range instrs {
+		if g.Nodes[n].Instr.IsBranch() {
+			branch = n
+		}
+	}
 	if branch >= 0 {
-		for _, n := range g.InstrNodes() {
-			if n != branch && !g.HasPath(n, branch) {
+		reach := g.Reach()
+		for _, n := range instrs {
+			if n != branch && !reach.Has(n, branch) {
 				g.AddEdge(n, branch, EdgeSeq)
+				reach.AddClosureEdge(n, branch)
 			}
 		}
 	}
 
-	// Root/leaf hammock edges.
-	for _, n := range g.InstrNodes() {
+	for _, n := range instrs {
 		hasInstrPred, hasInstrSucc := false, false
 		for _, p := range g.Preds(n) {
 			if p != g.Root {
@@ -89,56 +113,14 @@ func Build(b *ir.Block, extraLiveOut ...ir.VReg) (*Graph, error) {
 			g.AddEdge(n, g.Leaf, EdgeSeq)
 		}
 	}
-	if len(g.InstrNodes()) == 0 {
+	if len(instrs) == 0 {
 		g.AddEdge(g.Root, g.Leaf, EdgeSeq)
-	}
-
-	// Live-out registers: defined but unused here, plus caller extras.
-	used := make(map[ir.VReg]bool)
-	for _, in := range b.Instrs {
-		for _, u := range in.Uses() {
-			used[u] = true
-		}
-	}
-	for v := range defNode {
-		if !used[v] {
-			g.LiveOut[v] = true
-		}
-	}
-	for _, v := range extraLiveOut {
-		if _, ok := defNode[v]; ok {
-			g.LiveOut[v] = true
-		}
 	}
 
 	if err := g.Check(); err != nil {
 		return nil, err
 	}
 	return g, nil
-}
-
-// HasPath reports whether b is reachable from a (a == b counts as
-// reachable) by DFS over the current edges. Transformations use this to
-// avoid creating cycles; unlike Reach it reflects mutations immediately.
-func (g *Graph) HasPath(a, b int) bool {
-	if a == b {
-		return true
-	}
-	seen := make([]bool, len(g.Nodes))
-	stack := []int{a}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == b {
-			return true
-		}
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		stack = append(stack, g.succ[n]...)
-	}
-	return false
 }
 
 // MayAlias reports whether two memory instructions can touch the same cell.

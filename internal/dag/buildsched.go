@@ -18,8 +18,6 @@ func BuildScheduling(b *ir.Block) (*Graph, error) {
 	lastDef := make(map[ir.VReg]int)    // register -> most recent writer node
 	lastUses := make(map[ir.VReg][]int) // register -> readers since last write
 	var memNodes []int
-	var branch int = -1
-
 	for _, in := range b.Instrs {
 		id := g.AddInstr(in.Clone())
 
@@ -44,59 +42,12 @@ func BuildScheduling(b *ir.Block) (*Graph, error) {
 			lastDef[in.Dst] = id
 			lastUses[in.Dst] = nil
 		}
-
-		if in.IsMem() {
-			for _, prev := range memNodes {
-				pin := g.Nodes[prev].Instr
-				if (pin.IsStore() || in.IsStore()) && MayAlias(pin, in) {
-					g.AddEdge(prev, id, EdgeMem)
-				}
-			}
-			memNodes = append(memNodes, id)
-		}
-		if in.IsBranch() {
-			branch = id
-		}
-	}
-
-	if branch >= 0 {
-		for _, n := range g.InstrNodes() {
-			if n != branch && !g.HasPath(n, branch) {
-				g.AddEdge(n, branch, EdgeSeq)
-			}
-		}
-	}
-
-	for _, n := range g.InstrNodes() {
-		hasInstrPred, hasInstrSucc := false, false
-		for _, p := range g.Preds(n) {
-			if p != g.Root {
-				hasInstrPred = true
-			}
-		}
-		for _, s := range g.Succs(n) {
-			if s != g.Leaf {
-				hasInstrSucc = true
-			}
-		}
-		if !hasInstrPred {
-			g.AddEdge(g.Root, n, EdgeSeq)
-		}
-		if !hasInstrSucc {
-			g.AddEdge(n, g.Leaf, EdgeSeq)
-		}
-	}
-	if len(g.InstrNodes()) == 0 {
-		g.AddEdge(g.Root, g.Leaf, EdgeSeq)
+		memNodes = g.orderMem(memNodes, id)
 	}
 
 	// Registers holding a final value are live-out.
 	for v := range lastDef {
 		g.LiveOut[v] = true
 	}
-
-	if err := g.Check(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return g.seal()
 }

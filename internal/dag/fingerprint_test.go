@@ -89,7 +89,7 @@ func TestFingerprintPinned(t *testing.T) {
 // TestFingerprintIgnoresEdgeOrder: the hash depends on the edge set, not on
 // the order edges entered the adjacency lists — neither for a graph built
 // with its edges inserted in reverse, nor for a clone whose lists an
-// UndoLog apply and Revert reordered.
+// Apply and Revert reordered.
 func TestFingerprintIgnoresEdgeOrder(t *testing.T) {
 	f, g := fpGraph(t)
 	base := g.Fingerprint()
@@ -131,8 +131,8 @@ func TestFingerprintIgnoresEdgeOrder(t *testing.T) {
 		Barrier: []int{c.DefNode(f.Reg("c"))},
 	}}
 	var log transform.UndoLog
-	if err := cand.ApplyLog(c, &log); err != nil {
-		t.Fatalf("ApplyLog: %v", err)
+	if err := cand.Apply(c, c.Reach(), &log); err != nil {
+		t.Fatalf("Apply: %v", err)
 	}
 	log.Revert()
 	if slices.Equal(c.Succs(a), before) {

@@ -67,8 +67,8 @@ type Graph struct {
 	pred [][]int
 
 	// LiveOut lists the registers whose values must survive the region:
-	// their lifetimes extend to the leaf. Defaults to every register defined
-	// but never used inside the region; Build callers may extend it.
+	// their lifetimes extend to the leaf. Build sets it to the block's
+	// ir.LiveOuts plus the caller's extras.
 	LiveOut map[ir.VReg]bool
 }
 
@@ -130,7 +130,8 @@ func (g *Graph) EdgeKindOf(a, b int) (EdgeKind, bool) {
 
 // AddEdge inserts the edge (a, b) of the given kind. Duplicate insertions
 // keep the first kind. Adding an edge that would create a cycle is the
-// caller's responsibility to avoid (see Reaches).
+// caller's responsibility to avoid: (a, b) closes one exactly when a == b
+// or the graph's closure (Reach) has b reaching a.
 func (g *Graph) AddEdge(a, b int, kind EdgeKind) {
 	if g.HasEdge(a, b) {
 		return

@@ -64,6 +64,7 @@ func F3Transformations() (*Table, error) {
 		Header: []string{"figure", "transformation", "FU", "regs", "paper"},
 	}
 	node := func(g *dag.Graph, name string) int { return g.DefNode(g.Func.Reg(name)) }
+	var log transform.UndoLog
 
 	// Baseline.
 	g, err := paperDAG()
@@ -77,7 +78,7 @@ func F3Transformations() (*Table, error) {
 	g, _ = paperDAG()
 	c := &transform.Candidate{Kind: transform.FUSequence,
 		Edges: [][2]int{{node(g, "t3"), node(g, "t4")}}}
-	if err := c.Apply(g); err != nil {
+	if err := c.Apply(g, g.Reach(), &log); err != nil {
 		return nil, err
 	}
 	fuA, regA := widths(g)
@@ -87,7 +88,7 @@ func F3Transformations() (*Table, error) {
 	g, _ = paperDAG()
 	c = &transform.Candidate{Kind: transform.RegSequence,
 		Edges: [][2]int{{node(g, "t5"), node(g, "t3")}, {node(g, "t5"), node(g, "t4")}}}
-	if err := c.Apply(g); err != nil {
+	if err := c.Apply(g, g.Reach(), &log); err != nil {
 		return nil, err
 	}
 	fuB, regB := widths(g)
@@ -100,7 +101,7 @@ func F3Transformations() (*Table, error) {
 		Barrier:  []int{node(g, "t1"), node(g, "t2"), node(g, "t5")},
 		PreRoots: []int{node(g, "w"), node(g, "x")},
 	}}
-	if err := c.Apply(g); err != nil {
+	if err := c.Apply(g, g.Reach(), &log); err != nil {
 		return nil, err
 	}
 	fuC, regC := widths(g)

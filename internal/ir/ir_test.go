@@ -239,6 +239,28 @@ func TestLiveInsAndDefs(t *testing.T) {
 	}
 }
 
+// TestLiveOuts: a block's live-outs are the registers it defines and
+// never reads; a value read before the block ends is not one.
+func TestLiveOuts(t *testing.T) {
+	if outs := LiveOuts(parseExample(t).Blocks[0]); len(outs) != 0 {
+		t.Errorf("LiveOuts of a block ending in a store = %v, want none", outs)
+	}
+	f := MustParse(`
+func f {
+entry:
+	a = load A[0]
+	b = add a, a
+	c = mul a, a
+	d = sub c, a
+	store B[0], b
+}
+`)
+	outs := LiveOuts(f.Blocks[0])
+	if len(outs) != 1 || !outs[f.Reg("d")] {
+		t.Errorf("LiveOuts = %v, want just d", outs)
+	}
+}
+
 func TestUsesIncludesIndex(t *testing.T) {
 	f := NewFunc("t")
 	b := f.NewBlock("entry")

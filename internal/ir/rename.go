@@ -61,6 +61,24 @@ func LiveIns(b *Block) []VReg {
 	return ins
 }
 
+// LiveOuts returns the registers a block defines but never reads: the
+// values that must survive its exit.
+func LiveOuts(b *Block) map[VReg]bool {
+	used := make(map[VReg]bool)
+	for _, in := range b.Instrs {
+		for _, u := range in.Uses() {
+			used[u] = true
+		}
+	}
+	outs := make(map[VReg]bool)
+	for _, in := range b.Instrs {
+		if in.Dst != NoReg && !used[in.Dst] {
+			outs[in.Dst] = true
+		}
+	}
+	return outs
+}
+
 // Defs returns the registers defined in the block, in definition order.
 func Defs(b *Block) []VReg {
 	var ds []VReg

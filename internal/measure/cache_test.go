@@ -56,7 +56,7 @@ func TestCacheHitsAndEquality(t *testing.T) {
 	// A structural change misses and measures fresh.
 	ns := g.InstrNodes()
 	a, b := ns[0], ns[len(ns)-1]
-	if !g.HasPath(a, b) && !g.HasPath(b, a) && !g.HasEdge(a, b) {
+	if reach := g.Reach(); !reach.Has(a, b) && !reach.Has(b, a) {
 		g.AddEdge(a, b, dag.EdgeSeq)
 	} else {
 		g.AddEdge(a, g.Leaf, dag.EdgeSeq)

@@ -110,7 +110,7 @@ type Stats struct {
 	Words    int // issue slots (schedule length in words)
 	SpillOps int // spill stores + reloads in the final code
 	RegsUsed [ir.NumClasses]int
-	CritPath int
+	CritPath int // schedule length in words, the same count as Words
 	// URSA-only.
 	URSATransforms int
 	URSAFits       bool
@@ -197,8 +197,7 @@ func Compile(b *ir.Block, m *machine.Config, method Method, opts Options) (*assi
 		}
 
 	case Postpass:
-		lo := liveOutOf(b)
-		ra, err := regalloc.Color(b, m, lo)
+		ra, err := regalloc.Color(b, m, ir.LiveOuts(b))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -277,30 +276,8 @@ func Compile(b *ir.Block, m *machine.Config, method Method, opts Options) (*assi
 			st.SpillOps++
 		}
 	}
-	st.CritPath = critPath(prog)
+	st.CritPath = st.Words
 	return prog, st, nil
-}
-
-// critPath returns the number of non-empty issue cycles plus stalls — i.e.
-// the schedule length in cycles (words may be empty when every unit waits).
-func critPath(prog *assign.Program) int { return len(prog.Words) }
-
-// liveOutOf returns the registers defined but never used in the block,
-// matching dag.Build's convention.
-func liveOutOf(b *ir.Block) map[ir.VReg]bool {
-	used := map[ir.VReg]bool{}
-	for _, in := range b.Instrs {
-		for _, u := range in.Uses() {
-			used[u] = true
-		}
-	}
-	lo := map[ir.VReg]bool{}
-	for _, in := range b.Instrs {
-		if in.Dst != ir.NoReg && !used[in.Dst] {
-			lo[in.Dst] = true
-		}
-	}
-	return lo
 }
 
 // Evaluate compiles the block with the given pipeline, executes the result

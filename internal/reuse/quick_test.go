@@ -97,7 +97,7 @@ func TestQuickSequencingMonotone(t *testing.T) {
 		nodes := g.InstrNodes()
 		x := nodes[int(a)%len(nodes)]
 		y := nodes[int(b)%len(nodes)]
-		if x == y || g.HasEdge(x, y) || g.HasPath(y, x) {
+		if x == y || g.HasEdge(x, y) || g.Reach().Has(y, x) {
 			return true // not a legal new edge; trivially fine
 		}
 		fu0 := measure.Measure(reuse.FU(g, reuse.AllFUs)).Width

@@ -49,9 +49,10 @@ func adjacency(g *dag.Graph) (succ, pred [][]int) {
 }
 
 // TestCopySpillApplyLogRevert: on every inter-cluster copy of the committed
-// clustered cases, ApplyLog yields the same graph as Apply on a clone, and
-// Revert restores the fingerprint, the copy instruction's Op/Args/Sym, and
-// every node's successor and predecessor set.
+// clustered cases, Apply through one reused log yields the same graph as
+// Apply on a clone, and Revert restores the fingerprint, the copy
+// instruction's Op/Args/Sym, and every node's successor and predecessor
+// set.
 func TestCopySpillApplyLogRevert(t *testing.T) {
 	for _, name := range []string{"clustered-copy-cheaper-than-spill", "clustered-join-copy"} {
 		g := clusteredGraph(t, name)
@@ -67,21 +68,21 @@ func TestCopySpillApplyLogRevert(t *testing.T) {
 
 			ref := g.Clone()
 			ref.Func = g.Func.Clone()
-			if err := cand.Apply(ref); err != nil {
+			if err := cand.Apply(ref, ref.Reach(), new(transform.UndoLog)); err != nil {
 				t.Fatalf("%s node %d: Apply: %v", name, n, err)
 			}
 
 			before, nodes := g.Fingerprint(), g.NumNodes()
 			op, args, sym := in.Op, slices.Clone(in.Args), in.Sym
 			succ, pred := adjacency(g)
-			if err := cand.ApplyLog(g, &log); err != nil {
-				t.Fatalf("%s node %d: ApplyLog: %v", name, n, err)
+			if err := cand.Apply(g, g.Reach(), &log); err != nil {
+				t.Fatalf("%s node %d: Apply: %v", name, n, err)
 			}
 			if in.Op != ir.SpillLoad {
 				t.Errorf("%s node %d: copy not rewritten into a reload (op %s)", name, n, in.Op)
 			}
 			if g.Fingerprint() != ref.Fingerprint() {
-				t.Errorf("%s node %d: ApplyLog and Apply on a clone produced different graphs", name, n)
+				t.Errorf("%s node %d: Apply on the graph and on a clone produced different graphs", name, n)
 			}
 			log.Revert()
 			if g.Fingerprint() != before || g.NumNodes() != nodes {

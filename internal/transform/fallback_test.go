@@ -48,14 +48,14 @@ func TestFUFallbackWhenMergesInfeasible(t *testing.T) {
 	if len(sets) == 0 {
 		t.Fatal("no excess at limit 1")
 	}
-	cands := FUCandidates(g, res, sets[len(sets)-1])
+	cands := FUCandidates(g, g.Reach(), g.Depths(), res, sets[len(sets)-1])
 	if len(cands) == 0 {
 		t.Fatal("no candidates at all")
 	}
 	applied := 0
 	for _, c := range cands {
 		cl := g.Clone()
-		if err := c.Apply(cl); err == nil {
+		if err := apply(cl, c); err == nil {
 			applied++
 			if err := cl.Check(); err != nil {
 				t.Errorf("candidate %s corrupted graph: %v", c, err)
@@ -78,7 +78,7 @@ func TestFUFallbackAntichainSerialization(t *testing.T) {
 	}
 	found := false
 	for _, set := range sets {
-		for _, c := range FUCandidates(g, res, set) {
+		for _, c := range FUCandidates(g, g.Reach(), g.Depths(), res, set) {
 			if strings.Contains(c.Note, "serialize") || strings.Contains(c.Note, "mid ") ||
 				strings.Contains(c.Note, "->") {
 				found = true
@@ -109,14 +109,14 @@ func TestRegFallbackSerializesLifetimes(t *testing.T) {
 	applied := 0
 	before := res.Width
 	for _, set := range sets {
-		cands := RegSeqCandidates(g, res, set)
-		cands = append(cands, SpillCandidates(g, res, set)...)
+		cands := RegSeqCandidates(g, g.Reach(), g.Depths(), res, set)
+		cands = append(cands, SpillCandidates(g, g.Depths(), res, set)...)
 		if len(cands) == 0 {
 			t.Error("no register candidates generated")
 		}
 		for _, c := range cands {
 			cl := g.Clone()
-			if err := c.Apply(cl); err != nil {
+			if err := apply(cl, c); err != nil {
 				continue
 			}
 			applied++

@@ -18,9 +18,12 @@ import (
 // handful of single-edge variants are also produced so the driver's scoring
 // can pick a less aggressive reduction when that preserves the critical
 // path better.
-func FUCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet) []*Candidate {
+//
+// reach is g's transitive closure and depth its node depths (Graph.Depths);
+// the caller computes both once per graph state and shares them across
+// resources and excess sets.
+func FUCandidates(g *dag.Graph, reach *order.Relation, depth []int, res *measure.Result, set *measure.ExcessSet) []*Candidate {
 	items := res.R.Items
-	depth := g.Depths()
 	type end struct{ chain, node int }
 
 	var tails, heads []end
@@ -48,7 +51,7 @@ func FUCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet) []*
 	})
 
 	feasible := func(t, h end) bool {
-		return t.chain != h.chain && t.node != h.node && !g.HasPath(h.node, t.node)
+		return t.chain != h.chain && t.node != h.node && !reach.Has(h.node, t.node)
 	}
 
 	x := set.Excess()
@@ -158,7 +161,7 @@ func FUCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet) []*
 				}
 				for y := 0; y < len(cj); y++ {
 					b := items[cj[y]].Node
-					if b == g.Root || a == b || g.HasPath(a, b) || g.HasPath(b, a) {
+					if b == g.Root || a == b || reach.Has(a, b) || reach.Has(b, a) {
 						continue
 					}
 					cands = append(cands, &Candidate{
@@ -241,8 +244,9 @@ func sd1Ends(g *dag.Graph, nodes []int) (roots, leaves []int) {
 // releaseNodes returns, for the given chains, the kill node of each chain's
 // last item: the node whose execution frees the register that chain holds.
 // Chains whose last item is killed at the leaf (live-out) release nothing
-// and are skipped. The result is deduplicated and sorted deepest-first.
-func releaseNodes(g *dag.Graph, res *measure.Result, chains []order.Chain) []int {
+// and are skipped. The result is deduplicated and sorted deepest-first by
+// depth, the graph's node depths.
+func releaseNodes(g *dag.Graph, depth []int, res *measure.Result, chains []order.Chain) []int {
 	seen := make(map[int]bool)
 	var out []int
 	for _, c := range chains {
@@ -262,7 +266,6 @@ func releaseNodes(g *dag.Graph, res *measure.Result, chains []order.Chain) []int
 			out = append(out, k)
 		}
 	}
-	depth := g.Depths()
 	sort.Slice(out, func(i, j int) bool {
 		if depth[out[i]] != depth[out[j]] {
 			return depth[out[i]] > depth[out[j]]
@@ -277,9 +280,9 @@ func releaseNodes(g *dag.Graph, res *measure.Result, chains []order.Chain) []int
 // so delaying them costs the least) and add sequence edges from set S — the
 // release nodes that free SD1's registers (the kills of SD1's chain tails)
 // — to set T, the producer nodes of SD2's chain heads. Figure 3(b) is the
-// shape S={I} (the kill of t1 and t2), T={G,H}.
-func RegSeqCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet) []*Candidate {
-	depth := g.Depths()
+// shape S={I} (the kill of t1 and t2), T={G,H}. reach and depth are as
+// for FUCandidates.
+func RegSeqCandidates(g *dag.Graph, reach *order.Relation, depth []int, res *measure.Result, set *measure.ExcessSet) []*Candidate {
 	x := set.Excess()
 	if x < 1 || len(set.Chains) < 2 {
 		return nil
@@ -336,7 +339,7 @@ func RegSeqCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet)
 		if len(sd1) == 0 || !nonsupporting(g, sd2, sd1) {
 			return
 		}
-		rel := releaseNodes(g, res, sd1Chains)
+		rel := releaseNodes(g, depth, res, sd1Chains)
 		if len(rel) == 0 {
 			return
 		}
@@ -345,7 +348,7 @@ func RegSeqCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet)
 			var es [][2]int
 			for _, t := range tNodes {
 				for _, s := range ss {
-					if s != t && !g.HasPath(t, s) && !g.HasPath(s, t) {
+					if s != t && !reach.Has(t, s) && !reach.Has(s, t) {
 						es = append(es, [2]int{s, t})
 					}
 				}
@@ -405,8 +408,7 @@ func RegSeqCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet)
 		if res.R.Kill != nil {
 			kill = res.R.Kill[h]
 		}
-		if prev >= 0 && node != g.Root && prev != node &&
-			!g.HasPath(node, prev) {
+		if prev >= 0 && node != g.Root && prev != node && !reach.Has(node, prev) {
 			serial = append(serial, [2]int{prev, node})
 		}
 		if kill >= 0 && kill != g.Root {
@@ -436,7 +438,7 @@ func RegSeqCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet)
 				}
 				for y := 0; y < len(cj); y++ {
 					b := res.R.Items[cj[y]].Node
-					if b == g.Root || b == kill || g.HasPath(b, kill) || g.HasPath(kill, b) {
+					if b == g.Root || b == kill || reach.Has(b, kill) || reach.Has(kill, b) {
 						continue
 					}
 					cands = append(cands, &Candidate{
@@ -497,8 +499,9 @@ func CopySpillCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessS
 // excess chain, spill its head value right after definition and reload it
 // once the other chains (SD1) have finished. Unlike sequencing, the relaxed
 // conditions mean a spill can always be found (the paper's guarantee), so
-// these candidates also serve as the fallback when sequencing fails.
-func SpillCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet) []*Candidate {
+// these candidates also serve as the fallback when sequencing fails. depth
+// is g's node depths (Graph.Depths).
+func SpillCandidates(g *dag.Graph, depth []int, res *measure.Result, set *measure.ExcessSet) []*Candidate {
 	const maxCandidates = 16
 	f := g.Func
 	var cands []*Candidate
@@ -516,7 +519,7 @@ func SpillCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet) 
 		}
 		roots, _ := sd1Ends(g, sd1)
 		// The reload waits for the nodes that free SD1's registers.
-		barrier := releaseNodes(g, res, sd1Chains)
+		barrier := releaseNodes(g, depth, res, sd1Chains)
 		if len(barrier) == 0 {
 			continue
 		}

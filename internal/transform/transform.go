@@ -18,6 +18,7 @@ import (
 
 	"ursa/internal/dag"
 	"ursa/internal/ir"
+	"ursa/internal/order"
 )
 
 // Kind identifies a transformation family.
@@ -88,43 +89,14 @@ func (c *Candidate) String() string {
 	return c.Kind.String()
 }
 
-// Apply mutates the graph. It returns an error (leaving the graph in a
-// valid, possibly partially-extended state only on the error paths noted
-// below) if the candidate is inapplicable: an edge would create a cycle, or
-// a spill would rewire no uses. Callers that must not observe partial
-// application should apply to a clone first — the driver's
-// tentative-apply-and-score loop does exactly that.
-func (c *Candidate) Apply(g *dag.Graph) error {
-	for _, e := range c.Edges {
-		if g.HasEdge(e[0], e[1]) {
-			continue
-		}
-		if g.HasPath(e[1], e[0]) {
-			return fmt.Errorf("transform %s: edge %d->%d would create a cycle", c.Kind, e[0], e[1])
-		}
-		g.AddEdge(e[0], e[1], dag.EdgeSeq)
-	}
-	if c.Spill != nil {
-		if err := applySpill(g, c.Spill, nil); err != nil {
-			return err
-		}
-	}
-	if c.CopySpill != nil {
-		if err := applyCopySpill(g, c.CopySpill, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// An UndoLog records everything one tentative application changed, so the
-// change can be reverted in place. One log lives per evaluator worker and
-// is reused across candidates; its slices keep their capacity, so the
+// An UndoLog records everything one application changed, so the change
+// can be reverted in place. One log lives per evaluator worker and is
+// reused across candidates; its slices keep their capacity, so the
 // steady-state apply/score/revert cycle allocates nothing.
 type UndoLog struct {
 	g       *dag.Graph
-	nodes   int // node count at ApplyLog time
-	regs    int // Func.NumRegs at ApplyLog time
+	nodes   int // node count at Apply time
+	regs    int // Func.NumRegs at Apply time
 	added   [][2]int
 	removed []removedEdge
 	patches []argPatch
@@ -153,21 +125,14 @@ type opRewrite struct {
 	sym  string
 }
 
-// Added returns the sequence edges the application actually added (edges
-// already present were skipped). The slice aliases the log and is valid
-// until the next ApplyLog. For spill and copy-spill candidates it also
-// contains the store/load wiring, so incremental closure updates must not
-// be derived from it — the evaluator re-measures spilled graphs from
-// scratch.
-func (u *UndoLog) Added() [][2]int { return u.added }
-
 // Revert undoes the recorded application: operand and opcode rewrites are
 // restored, removed edges re-added with their original kinds, added edges
 // removed, and any nodes and registers the application created are
 // truncated away.
 // Successor/predecessor list order may differ from the pre-apply state
 // (re-added edges append at the tail); every analysis the evaluator runs is
-// order-independent, and the committed graph never goes through a revert.
+// order-independent, and a committed graph is reverted only when its
+// commit is refused, which ends the run.
 func (u *UndoLog) Revert() {
 	g := u.g
 	for i := len(u.patches) - 1; i >= 0; i-- {
@@ -192,25 +157,20 @@ func (u *UndoLog) Revert() {
 	g.Func.TruncateRegs(u.regs)
 }
 
-// addEdge adds the edge (a, b), which must not exist yet, recording it
-// when the log is non-nil (a nil log is the commit path).
+// addEdge adds the edge (a, b), which must not exist yet, and records it.
 func (u *UndoLog) addEdge(g *dag.Graph, a, b int, kind dag.EdgeKind) {
 	g.AddEdge(a, b, kind)
-	if u != nil {
-		u.added = append(u.added, [2]int{a, b})
-	}
+	u.added = append(u.added, [2]int{a, b})
 }
 
 // removeEdge removes the edge (a, b) if present, recording it with its
-// kind when the log is non-nil.
+// kind.
 func (u *UndoLog) removeEdge(g *dag.Graph, a, b int) {
 	kind, ok := g.EdgeKindOf(a, b)
 	if !ok {
 		return
 	}
-	if u != nil {
-		u.removed = append(u.removed, removedEdge{a: a, b: b, kind: kind})
-	}
+	u.removed = append(u.removed, removedEdge{a: a, b: b, kind: kind})
 	g.RemoveEdge(a, b)
 }
 
@@ -225,35 +185,47 @@ func (u *UndoLog) reset(g *dag.Graph) {
 	u.rewrite = opRewrite{}
 }
 
-// ApplyLog tentatively applies the candidate — sequencing edges, spill and
-// copy-spill payloads alike — recording every change in the reusable log.
-// On error the partial application is already reverted and the graph is
-// back in its prior state. On success the caller scores the transformed
-// graph and then calls log.Revert.
-func (c *Candidate) ApplyLog(g *dag.Graph, log *UndoLog) error {
+// Apply applies the candidate to g — sequencing edges, spill and
+// copy-spill payloads alike — and records every change in log (reset
+// first), so log.Revert undoes it. reach must be g's transitive closure.
+// Each sequencing edge is tested against it — an edge whose head already
+// reaches its tail, or a self-edge, closes a cycle and refuses the
+// candidate — and added to it with AddClosureEdge, so after a
+// sequencing-only candidate reach is the transformed graph's closure. A
+// spill or copy-spill adds nodes the relation cannot hold: after one the
+// caller recomputes the closure.
+//
+// A refused candidate returns an error with the application already
+// reverted: g and its Func are exactly as before, while reach may hold
+// the refused candidate's earlier edges and must be discarded.
+func (c *Candidate) Apply(g *dag.Graph, reach *order.Relation, log *UndoLog) error {
 	log.reset(g)
+	if err := c.apply(g, reach, log); err != nil {
+		log.Revert()
+		return err
+	}
+	return nil
+}
+
+func (c *Candidate) apply(g *dag.Graph, reach *order.Relation, log *UndoLog) error {
 	for _, e := range c.Edges {
-		if g.HasEdge(e[0], e[1]) {
+		a, b := e[0], e[1]
+		if g.HasEdge(a, b) {
 			continue
 		}
-		if g.HasPath(e[1], e[0]) {
-			log.Revert()
-			return fmt.Errorf("transform %s: edge %d->%d would create a cycle", c.Kind, e[0], e[1])
+		if a == b || reach.Has(b, a) {
+			return fmt.Errorf("transform %s: edge %d->%d would create a cycle", c.Kind, a, b)
 		}
-		g.AddEdge(e[0], e[1], dag.EdgeSeq)
-		log.added = append(log.added, e)
+		log.addEdge(g, a, b, dag.EdgeSeq)
+		reach.AddClosureEdge(a, b)
 	}
 	if c.Spill != nil {
-		if err := applySpill(g, c.Spill, log); err != nil {
-			log.Revert()
+		if err := applySpill(g, reach, c.Spill, log); err != nil {
 			return err
 		}
 	}
 	if c.CopySpill != nil {
-		if err := applyCopySpill(g, c.CopySpill, log); err != nil {
-			log.Revert()
-			return err
-		}
+		return applyCopySpill(g, c.CopySpill, log)
 	}
 	return nil
 }
@@ -342,11 +314,16 @@ func appendSortedInts(dst []byte, xs []int) []byte {
 }
 
 // applySpill inserts the spill's store/load pair, wires it, and rewires the
-// delayable uses. With log == nil (the commit path) the graph is mutated
-// for good; with a log every change is recorded so the caller can revert —
-// the store/load wiring always touches the freshly added nodes, so every
-// AddEdge here is a genuinely new edge and is logged unconditionally.
-func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
+// delayable uses, recording every change in log. reach is the closure of g
+// before the pair is added; every reachability question here reduces to
+// it. The new load ld has no successors while the barriers are wired, so
+// no barrier can be its descendant. The new store's only predecessor is
+// the definition, so a pre-root reaches the store exactly when it is or
+// reaches the definition. A use of the value descends from the
+// definition, so no path from it runs through the definition, the store,
+// or a def->use edge the rewiring removes: it reaches the load exactly
+// when it is or reaches a barrier.
+func applySpill(g *dag.Graph, reach *order.Relation, sp *SpillSpec, log *UndoLog) error {
 	f := g.Func
 	name := f.NameOf(sp.Reg)
 	class := f.ClassOf(sp.Reg)
@@ -376,15 +353,12 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 
 	// The reload waits for SD1 to finish.
 	for _, b := range sp.Barrier {
-		if b == ld || g.HasPath(ld, b) {
-			continue
-		}
 		log.addEdge(g, b, ld, dag.EdgeSeq)
 	}
 	// The store happens before SD1 starts, freeing the register. Roots
 	// that are ancestors of the definition cannot be sequenced after it.
 	for _, r := range sp.PreRoots {
-		if r == st || g.HasPath(r, sp.Def) || g.HasPath(r, st) {
+		if r == sp.Def || reach.Has(r, sp.Def) {
 			continue
 		}
 		log.addEdge(g, st, r, dag.EdgeSeq)
@@ -393,22 +367,18 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 	// Rewire every use that can legally wait for the reload.
 	rewired := 0
 	for _, u := range uses {
-		if u == st || g.HasPath(u, ld) {
+		if reachesAny(reach, u, sp.Barrier) {
 			continue
 		}
 		in := g.Nodes[u].Instr
 		for i, a := range in.Args {
 			if a == sp.Reg {
-				if log != nil {
-					log.patches = append(log.patches, argPatch{in: in, slot: i, old: a})
-				}
+				log.patches = append(log.patches, argPatch{in: in, slot: i, old: a})
 				in.Args[i] = nv
 			}
 		}
 		if in.Index == sp.Reg {
-			if log != nil {
-				log.patches = append(log.patches, argPatch{in: in, slot: -1, old: sp.Reg})
-			}
+			log.patches = append(log.patches, argPatch{in: in, slot: -1, old: sp.Reg})
 			in.Index = nv
 		}
 		log.removeEdge(g, sp.Def, u)
@@ -416,21 +386,19 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 		rewired++
 	}
 	if rewired == 0 {
-		if log != nil {
-			// The caller reverts everything; no patch-up needed.
-			return fmt.Errorf("transform spill: no use of %s can be delayed", name)
-		}
-		// Nothing could be delayed: undo the dangling store/load by wiring
-		// them straight to the leaf so the graph stays valid, and report
-		// failure so the driver discards this candidate.
-		g.AddEdge(ld, g.Leaf, dag.EdgeSeq)
 		return fmt.Errorf("transform spill: no use of %s can be delayed", name)
 	}
-	// Keep the hammock property for the new nodes.
-	if len(g.Succs(ld)) == 0 {
-		log.addEdge(g, ld, g.Leaf, dag.EdgeSeq)
-	}
 	return nil
+}
+
+// reachesAny reports whether u is one of the nodes or reaches one of them.
+func reachesAny(reach *order.Relation, u int, nodes []int) bool {
+	for _, b := range nodes {
+		if u == b || reach.Has(u, b) {
+			return true
+		}
+	}
+	return false
 }
 
 // applyCopySpill reroutes an inter-cluster copy through memory: a spill
@@ -438,10 +406,9 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 // copy instruction itself is rewritten in place into the reload — same
 // destination register, same cluster, so every consumer edge survives
 // untouched. The one data edge from the source's definition to the copy is
-// replaced by def -> store -> load wiring. With a log every change — the
-// removed edge, the added edges and the opcode rewrite — is recorded so
-// the caller can revert; the store node is new, so every AddEdge here adds
-// a genuinely new edge.
+// replaced by def -> store -> load wiring. Every change — the removed
+// edge, the added edges and the opcode rewrite — is recorded in log; the
+// store node is new, so every AddEdge here adds a genuinely new edge.
 func applyCopySpill(g *dag.Graph, sp *CopySpillSpec, log *UndoLog) error {
 	if sp.Copy < 0 || sp.Copy >= g.NumNodes() {
 		return fmt.Errorf("transform copy-spill: node %d out of range", sp.Copy)
@@ -460,9 +427,7 @@ func applyCopySpill(g *dag.Graph, sp *CopySpillSpec, log *UndoLog) error {
 	srcCluster := g.Nodes[def].Instr.Cluster
 
 	st := g.AddInstr(&ir.Instr{Op: ir.SpillStore, Args: []ir.VReg{src}, Sym: slot, Cluster: srcCluster})
-	if log != nil {
-		log.rewrite = opRewrite{in: in, op: in.Op, args: in.Args, sym: in.Sym}
-	}
+	log.rewrite = opRewrite{in: in, op: in.Op, args: in.Args, sym: in.Sym}
 	in.Op = ir.SpillLoad
 	in.Args = nil
 	in.Sym = slot

@@ -45,6 +45,9 @@ func node(t testing.TB, g *dag.Graph, name string) int {
 	return id
 }
 
+// apply applies c to g with g's own closure and a throwaway log.
+func apply(g *dag.Graph, c *Candidate) error { return c.Apply(g, g.Reach(), new(UndoLog)) }
+
 func fuWidth(g *dag.Graph) int  { return measure.Measure(reuse.FU(g, reuse.AllFUs)).Width }
 func regWidth(g *dag.Graph) int { return measure.Measure(reuse.Reg(g, ir.ClassInt)).Width }
 
@@ -56,7 +59,7 @@ func TestFig3aFUSequencing(t *testing.T) {
 		t.Fatalf("baseline widths FU=%d Reg=%d, want 4/5", fuWidth(g), regWidth(g))
 	}
 	c := &Candidate{Kind: FUSequence, Edges: [][2]int{{node(t, g, "t3"), node(t, g, "t4")}}}
-	if err := c.Apply(g); err != nil {
+	if err := apply(g, c); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
 	if err := g.Check(); err != nil {
@@ -80,7 +83,7 @@ func TestFig3bRegSequencing(t *testing.T) {
 		{i, node(t, g, "t3")},
 		{i, node(t, g, "t4")},
 	}}
-	if err := c.Apply(g); err != nil {
+	if err := apply(g, c); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
 	if err := g.Check(); err != nil {
@@ -108,7 +111,7 @@ func TestFig3cSpill(t *testing.T) {
 			PreRoots: []int{node(t, g, "w"), node(t, g, "x")},
 		},
 	}
-	if err := c.Apply(g); err != nil {
+	if err := apply(g, c); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
 	if err := g.Check(); err != nil {
@@ -147,7 +150,7 @@ func TestFig3cPaperLiteralBarrier(t *testing.T) {
 			PreRoots: []int{node(t, g, "w"), node(t, g, "x")},
 		},
 	}
-	if err := c.Apply(g); err != nil {
+	if err := apply(g, c); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
 	if got := regWidth(g); got != 4 {
@@ -160,7 +163,7 @@ func TestApplyRejectsCycle(t *testing.T) {
 	c := &Candidate{Kind: FUSequence, Edges: [][2]int{
 		{node(t, g, "z"), node(t, g, "v")}, // K -> A closes a cycle
 	}}
-	if err := c.Apply(g); err == nil {
+	if err := apply(g, c); err == nil {
 		t.Fatal("cycle-creating edge accepted")
 	}
 	if err := g.Check(); err != nil {
@@ -174,7 +177,7 @@ func TestSpillRejectsLiveOut(t *testing.T) {
 		Reg: g.Func.Reg("z"),
 		Def: node(t, g, "z"),
 	}}
-	if err := c.Apply(g); err == nil {
+	if err := apply(g, c); err == nil {
 		t.Fatal("spilling a live-out value accepted")
 	}
 }
@@ -203,7 +206,7 @@ func TestSpillPreservesSemantics(t *testing.T) {
 			PreRoots: []int{node(t, g, "w"), node(t, g, "x")},
 		},
 	}
-	if err := c.Apply(g); err != nil {
+	if err := apply(g, c); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
 	got := st0.Clone()
@@ -227,14 +230,14 @@ func TestFUCandidatesReducePaperExample(t *testing.T) {
 	}
 	// The whole-graph excessive set (largest hammock) drives the transform.
 	set := sets[len(sets)-1]
-	cands := FUCandidates(g, res, set)
+	cands := FUCandidates(g, g.Reach(), g.Depths(), res, set)
 	if len(cands) == 0 {
 		t.Fatal("no FU candidates generated")
 	}
 	reduced := false
 	for _, c := range cands {
 		cl := g.Clone()
-		if err := c.Apply(cl); err != nil {
+		if err := apply(cl, c); err != nil {
 			continue
 		}
 		if fuWidth(cl) < 4 {
@@ -254,15 +257,15 @@ func TestRegSeqCandidatesReducePaperExample(t *testing.T) {
 		t.Fatal("no excessive set")
 	}
 	set := sets[len(sets)-1]
-	cands := RegSeqCandidates(g, res, set)
-	cands = append(cands, SpillCandidates(g, res, set)...)
+	cands := RegSeqCandidates(g, g.Reach(), g.Depths(), res, set)
+	cands = append(cands, SpillCandidates(g, g.Depths(), res, set)...)
 	if len(cands) == 0 {
 		t.Fatal("no register candidates generated")
 	}
 	best := 5
 	for _, c := range cands {
 		cl := g.Clone()
-		if err := c.Apply(cl); err != nil {
+		if err := apply(cl, c); err != nil {
 			continue
 		}
 		if w := regWidth(cl); w < best {
@@ -279,10 +282,10 @@ func TestSequencingNeverIncreasesWidth(t *testing.T) {
 	// resource." Check over all feasible single edges on the paper DAG.
 	g := paperGraph(t)
 	fu0, reg0 := fuWidth(g), regWidth(g)
-	nodes := g.InstrNodes()
+	nodes, reach := g.InstrNodes(), g.Reach()
 	for _, a := range nodes {
 		for _, b := range nodes {
-			if a == b || g.HasEdge(a, b) || g.HasPath(b, a) {
+			if a == b || g.HasEdge(a, b) || reach.Has(b, a) {
 				continue
 			}
 			cl := g.Clone()
@@ -297,9 +300,10 @@ func TestSequencingNeverIncreasesWidth(t *testing.T) {
 	}
 }
 
-// TestApplyLogRoundTrip: a tentative application adds exactly the missing
-// edges and Revert restores the graph fingerprint — the contract that lets
-// the evaluator reuse one scratch graph across many candidates.
+// TestApplyLogRoundTrip: Apply adds exactly the missing edges to the graph
+// and to the closure it was handed, and Revert restores the graph
+// fingerprint — the contract that lets the evaluator reuse one scratch
+// graph across many candidates.
 func TestApplyLogRoundTrip(t *testing.T) {
 	g := paperGraph(t)
 	b, c := node(t, g, "w"), node(t, g, "x")
@@ -309,41 +313,56 @@ func TestApplyLogRoundTrip(t *testing.T) {
 	}
 	cand := &Candidate{Kind: FUSequence, Edges: [][2]int{pre, {b, c}}, Note: "test"}
 
-	before := g.Fingerprint()
+	before, edges := g.Fingerprint(), g.Relation().Pairs()
+	reach := g.Reach()
 	var log UndoLog
-	if err := cand.ApplyLog(g, &log); err != nil {
-		t.Fatalf("ApplyLog: %v", err)
+	if err := cand.Apply(g, reach, &log); err != nil {
+		t.Fatalf("Apply: %v", err)
 	}
-	if added := log.Added(); len(added) != 1 || added[0] != [2]int{b, c} {
-		t.Fatalf("added %v, want just %v (existing edge must be skipped)", added, [2]int{b, c})
+	if !g.HasEdge(b, c) || g.Relation().Pairs() != edges+1 {
+		t.Fatalf("%d edges after Apply, want %d: just %v added", g.Relation().Pairs(), edges+1, [2]int{b, c})
 	}
-	if !g.HasEdge(b, c) {
-		t.Fatal("edge not applied")
+	if !sameRelation(reach, g.Reach()) {
+		t.Fatal("the closure Apply kept differs from the graph's")
 	}
 	log.Revert()
 	if g.Fingerprint() != before {
-		t.Fatal("Revert did not restore the graph")
+		t.Fatal("Revert did not restore the graph (an existing edge must be skipped, not logged)")
 	}
 }
 
-// TestApplyLogRollsBackOnCycle: when a later edge of the candidate would
-// close a cycle, the earlier edges are removed before the error returns.
-func TestApplyLogRollsBackOnCycle(t *testing.T) {
+// TestRefusedApplyLeavesGraphUntouched: a candidate Apply refuses leaves
+// the graph as it found it — no edge of a multi-edge candidate whose later
+// edge closes a cycle, and no store/load pair or register of a spill none
+// of whose uses can wait for the reload.
+func TestRefusedApplyLeavesGraphUntouched(t *testing.T) {
 	g := paperGraph(t)
-	b, c := node(t, g, "w"), node(t, g, "x")
-	cand := &Candidate{Kind: FUSequence, Edges: [][2]int{{b, c}, {c, b}}, Note: "cycle"}
-	before := g.Fingerprint()
-	var log UndoLog
-	if err := cand.ApplyLog(g, &log); err == nil {
-		t.Fatal("cycle accepted")
+	w, x := node(t, g, "w"), node(t, g, "x")
+	cands := []*Candidate{
+		{Kind: FUSequence, Edges: [][2]int{{w, x}, {x, w}}, Note: "later edge closes a cycle"},
+		{Kind: RegSequence, Edges: [][2]int{{w, w}}, Note: "self-edge"},
+		{Kind: Spill, Note: "every use reaches the barrier", Spill: &SpillSpec{
+			Reg:      g.Func.Reg("y"),
+			Def:      node(t, g, "y"),
+			Barrier:  []int{node(t, g, "t6")},
+			PreRoots: []int{w, x},
+		}},
 	}
-	if g.Fingerprint() != before {
-		t.Fatal("failed application left edges behind")
+	for _, c := range cands {
+		fp, nodes, regs := g.Fingerprint(), g.NumNodes(), g.Func.NumRegs()
+		if err := apply(g, c); err == nil {
+			t.Fatalf("%s: applied, want a refusal", c)
+		}
+		if g.Fingerprint() != fp || g.NumNodes() != nodes || g.Func.NumRegs() != regs {
+			t.Errorf("%s: refusal changed the graph: %d nodes, %d regs (was %d, %d), fingerprint changed %v",
+				c, g.NumNodes(), g.Func.NumRegs(), nodes, regs, g.Fingerprint() != fp)
+		}
 	}
 }
 
-// TestApplyLogSpillRoundTrip: a logged spill matches Apply on a clone, and
-// Revert removes its nodes, register and operand rewrites again.
+// TestApplyLogSpillRoundTrip: a spill applied through a log matches one
+// applied to a clone, and Revert removes its nodes, register and operand
+// rewrites again.
 func TestApplyLogSpillRoundTrip(t *testing.T) {
 	g := paperGraph(t)
 	cand := &Candidate{Kind: Spill, Spill: &SpillSpec{
@@ -354,16 +373,16 @@ func TestApplyLogSpillRoundTrip(t *testing.T) {
 	}}
 	ref := g.Clone()
 	ref.Func = g.Func.Clone()
-	if err := cand.Apply(ref); err != nil {
+	if err := apply(ref, cand); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
 	before, regs := g.Fingerprint(), g.Func.NumRegs()
 	var log UndoLog
-	if err := cand.ApplyLog(g, &log); err != nil {
-		t.Fatalf("ApplyLog: %v", err)
+	if err := cand.Apply(g, g.Reach(), &log); err != nil {
+		t.Fatalf("Apply: %v", err)
 	}
 	if g.Fingerprint() != ref.Fingerprint() {
-		t.Error("ApplyLog and Apply on a clone produced different graphs")
+		t.Error("Apply on the graph and on a clone produced different graphs")
 	}
 	log.Revert()
 	if g.Fingerprint() != before || g.Func.NumRegs() != regs {
@@ -372,18 +391,14 @@ func TestApplyLogSpillRoundTrip(t *testing.T) {
 }
 
 // TestCopySpillRejectsNonCopy: a copy-spill aimed at a node that is not an
-// inter-cluster copy, or at no node at all, fails on both the commit and
-// the logged path and leaves the graph untouched.
+// inter-cluster copy, or at no node at all, fails and leaves the graph
+// untouched.
 func TestCopySpillRejectsNonCopy(t *testing.T) {
 	g := paperGraph(t)
 	for _, n := range []int{node(t, g, "w"), g.Root, -1, g.NumNodes()} {
 		cand := &Candidate{Kind: CopySpill, CopySpill: &CopySpillSpec{Copy: n}}
 		before, nodes := g.Fingerprint(), g.NumNodes()
-		var log UndoLog
-		if err := cand.ApplyLog(g, &log); err == nil {
-			t.Errorf("ApplyLog accepted a copy-spill of node %d", n)
-		}
-		if err := cand.Apply(g); err == nil {
+		if err := apply(g, cand); err == nil {
 			t.Errorf("Apply accepted a copy-spill of node %d", n)
 		}
 		if g.Fingerprint() != before || g.NumNodes() != nodes {
