@@ -13,14 +13,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"ursa/internal/core"
 	"ursa/internal/dag"
 	"ursa/internal/frontend"
+	"ursa/internal/ir"
 	"ursa/internal/machine"
+	"ursa/internal/measure"
 	"ursa/internal/modsched"
 	"ursa/internal/pipeline"
+	"ursa/internal/reuse"
 	"ursa/internal/target"
 	"ursa/internal/workload"
 )
@@ -83,6 +87,58 @@ func benchReduce(g *dag.Graph, m *machine.Config, opts core.Options) func(b *tes
 	}
 }
 
+// layerOrder returns one candidate's measurement input on the ReduceLarge
+// graph: the integer register order after a sequencing edge that leaves the
+// kills as they were, the committed measurement of the order before the
+// edge (a valid warm start, since the order only gained pairs), and the
+// graph's nesting levels. The edge is the first such pair of independent
+// instructions in node order, so the fixture is deterministic.
+func layerOrder() (prev *measure.Result, next *reuse.Reuse, levels []int) {
+	g, _ := reduceGraph()
+	prev = measure.Measure(reuse.Reg(g, ir.ClassInt))
+	reach := g.Reach()
+	ins := g.InstrNodes()
+	for _, u := range ins {
+		for _, v := range ins {
+			if u == v || reach.Has(u, v) || reach.Has(v, u) {
+				continue
+			}
+			cl := g.Clone()
+			cl.AddEdge(u, v, dag.EdgeSeq)
+			r := reuse.Reg(cl, ir.ClassInt)
+			if slices.Equal(r.Kill, prev.R.Kill) && r.Rel.Pairs() > prev.R.Rel.Pairs() {
+				return prev, r, g.NestLevels(g.Hammocks())
+			}
+		}
+	}
+	panic("bench: no kill-preserving sequencing edge in the ReduceLarge graph")
+}
+
+// benchWidth times the candidate scorer's width primitive on one reuse
+// order: a cold matching (the spill and kill-shift path) and a matching
+// warm-started from the committed measurement (the sequencing path).
+func benchWidth(b *testing.B) {
+	prev, r, _ := layerOrder()
+	var s measure.DeltaScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		measure.Width(nil, r, &s)
+		measure.Width(prev, r, &s)
+	}
+}
+
+// benchChains times the committed measurement's matching: the
+// hammock-prioritized minimum chain decomposition of the same order.
+func benchChains(b *testing.B) {
+	_, r, levels := layerOrder()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		measure.Chains(r, levels)
+	}
+}
+
 // benchLoopPipeline times the whole modulo-scheduling transform of one
 // kernel — recognition, MII bounds, the II × blocking-factor search with
 // URSA's kernel measurement in the acceptance loop, and emission.
@@ -133,6 +189,8 @@ func Suite() []Named {
 	return []Named{
 		{"PickBest/incremental", benchScore(pg, pm, core.Options{Workers: 1})},
 		{"ReduceLarge/incremental", benchReduce(rg, rm, core.Options{Workers: 1})},
+		{"Layer/width", benchWidth},
+		{"Layer/chains", benchChains},
 		{"Loop/pipeline-saxpy", benchLoopPipeline("saxpy", machine.VLIW(4, 12))},
 		{"Loop/pipeline-stencil3", benchLoopPipeline("stencil3", machine.VLIW(4, 12))},
 		{"Target/clustered-clus2x2x4", benchTargetCompile("clus2x2x4", 8, 4)},

@@ -28,6 +28,17 @@ func BenchmarkReduceLarge(b *testing.B) {
 	}
 }
 
+// BenchmarkLayer times single layers of a compile on the ReduceLarge
+// graph's register order: the candidate width primitive and the committed
+// prioritized matching.
+func BenchmarkLayer(b *testing.B) {
+	for _, n := range Suite() {
+		if strings.HasPrefix(n.Name, "Layer/") {
+			b.Run(strings.TrimPrefix(n.Name, "Layer/"), n.Bench)
+		}
+	}
+}
+
 // BenchmarkLoop times the modulo-scheduling transform on the loop-suite
 // kernels (CI's loop-smoke job runs it with -benchtime=1x).
 func BenchmarkLoop(b *testing.B) {

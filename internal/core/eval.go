@@ -53,17 +53,20 @@ type iterState struct {
 // scoring primitive. Each application tests its sequencing edges against a
 // scratch copy of the committed closure and keeps that copy closed
 // (order.Relation.AddClosureEdge); sequencing-only candidates then
-// rederive each resource's reuse pairs into pooled relation storage
-// (reuse.Reuse.UpdateClosureInto). The matching is warm-started from the
-// committed measurement when the resource's kill vector is unchanged, and
-// runs cold on the relation already filled when a kill shifted. Per-cluster
-// register files and exposed-datapath buffers are ordinary reuse item sets,
-// so they take the same path. Spill and copy-spill payloads — which add
-// nodes and rewrite operands or opcodes, so no cheap delta exists — rebuild
-// each resource's reuse structure and match it cold. On sequencing
-// candidates the evaluator allocates nothing in steady state: graphs,
-// closures, relations, matchers, and analysis buffers all reset in place
-// across candidates and across reduction iterations.
+// rederive each resource's reuse pairs into pooled relation storage,
+// reading the closure rows a 64-bit word at a time under the resource's
+// item mask (reuse.Reuse.UpdateClosureInto). The matching runs on that
+// relation's bit rows, with no adjacency lists (matching.Matcher): it is
+// warm-started from the committed measurement when the resource's kill
+// vector is unchanged, and runs cold on the relation already filled when a
+// kill shifted. Per-cluster register files and exposed-datapath buffers
+// are ordinary reuse item sets, so they take the same path. Spill and
+// copy-spill payloads — which add nodes and rewrite operands or opcodes,
+// so no cheap delta exists — rebuild each resource's reuse structure and
+// match it cold. On sequencing candidates the evaluator allocates nothing
+// in steady state: graphs, closures, relations, matchers, and analysis
+// buffers all reset in place across candidates and across reduction
+// iterations (TestSeqEvalAllocatesNothing).
 //
 // Only the committed graph is measured in full (prioritized chains, for the
 // excess sets), through Options.Cache: it serves the repeats across a Run's
@@ -100,7 +103,7 @@ type evaluator struct {
 
 	// Candidate dedupe state, reused across iterations.
 	keyBuf  []byte
-	keyIdx  map[transform.CandKey]int
+	keyIdx  map[string]int // canonical encoding (AppendKey) -> uniq slot
 	slot    []int
 	uniq    []int
 	batchNs atomic.Int64 // summed per-job busy time of the current batch
@@ -174,7 +177,7 @@ func newEvaluator(g *dag.Graph, resources []Resource, lat func(*dag.Node) int, o
 		opts:      opts,
 		workers:   workers,
 		scratches: make([]*evalScratch, workers),
-		keyIdx:    make(map[transform.CandKey]int),
+		keyIdx:    make(map[string]int),
 		reach:     g.Reach(),
 	}
 }
@@ -260,10 +263,10 @@ func (e *evaluator) scratch(w int) *evalScratch {
 }
 
 // evalAll scores every candidate and returns the outcomes in candidate
-// order. Candidates with identical effect (equal transform.Candidate key)
-// are measured once and share the measurement; the returned slice still
-// carries one entry per input candidate so the selection sort ranks every
-// candidate, ties included.
+// order. Candidates with identical effect (equal canonical encoding,
+// transform.Candidate.AppendKey) are measured once and share the
+// measurement; the returned slice still carries one entry per input
+// candidate so the selection sort ranks every candidate, ties included.
 func (e *evaluator) evalAll(cands []scored) ([]evalOutcome, error) {
 	st := e.state()
 
@@ -274,13 +277,14 @@ func (e *evaluator) evalAll(cands []scored) ([]evalOutcome, error) {
 	e.uniq = e.uniq[:0]
 	clear(e.keyIdx)
 	for i, s := range cands {
-		var k transform.CandKey
-		k, e.keyBuf = s.cand.FixedKey(e.keyBuf)
-		if j, ok := e.keyIdx[k]; ok {
+		// Indexing with string(buf) does not allocate; only a first
+		// occurrence copies its bytes into a key.
+		e.keyBuf = s.cand.AppendKey(e.keyBuf[:0])
+		if j, ok := e.keyIdx[string(e.keyBuf)]; ok {
 			e.slot[i] = j
 			continue
 		}
-		e.keyIdx[k] = len(e.uniq)
+		e.keyIdx[string(e.keyBuf)] = len(e.uniq)
 		e.slot[i] = len(e.uniq)
 		e.uniq = append(e.uniq, i)
 	}

@@ -149,20 +149,6 @@ func needsProgModel(g *dag.Graph, m *machine.Config) bool {
 	return false
 }
 
-// instrPreds returns, for every node id, its direct instruction-node
-// predecessors (pseudo root/leaf edges dropped).
-func instrPreds(g *dag.Graph) map[int][]int {
-	preds := map[int][]int{}
-	for _, n := range g.InstrNodes() {
-		for _, p := range g.Preds(n) {
-			if g.Nodes[p].Instr != nil {
-				preds[n] = append(preds[n], p)
-			}
-		}
-	}
-	return preds
-}
-
 // instrTopo returns the instruction nodes in topological order.
 func instrTopo(g *dag.Graph) []int {
 	var topo []int

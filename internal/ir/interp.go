@@ -54,9 +54,6 @@ func (s *State) Clone() *State {
 // SetInt stores an integer into a register.
 func (s *State) SetInt(v VReg, x int64) { s.Regs[v] = IntWord(x) }
 
-// SetFloat stores a float into a register.
-func (s *State) SetFloat(v VReg, x float64) { s.Regs[v] = FloatWord(x) }
-
 // StoreInt writes an integer memory cell.
 func (s *State) StoreInt(sym string, off int64, x int64) { s.Mem[Addr{sym, off}] = IntWord(x) }
 
@@ -67,7 +64,7 @@ func (s *State) StoreFloat(sym string, off int64, x float64) { s.Mem[Addr{sym, o
 var ErrStepLimit = fmt.Errorf("ir: interpreter step limit exceeded")
 
 // Exec executes a single instruction against the state. Branches are not
-// executed here; the caller handles control flow (see Run and ExecBlock).
+// executed here; the caller handles control flow (see Run).
 func (s *State) Exec(f *Func, in *Instr) {
 	arg := func(i int) Word { return s.Regs[in.Args[i]] }
 	switch in.Op {
@@ -207,18 +204,6 @@ func boolWord(b bool) Word {
 		return 1
 	}
 	return 0
-}
-
-// ExecBlock executes the non-branch instructions of a block in order and
-// returns the terminating branch (nil if the block falls through).
-func (s *State) ExecBlock(b *Block) *Instr {
-	for _, in := range b.Instrs {
-		if in.IsBranch() {
-			return in
-		}
-		s.Exec(b.Func, in)
-	}
-	return nil
 }
 
 // Run interprets a whole function starting at its first block, mutating the

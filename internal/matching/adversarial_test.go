@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// Adversarial structure tests: Hopcroft–Karp and the Kuhn-based Incremental
-// matcher must agree with the exhaustive BruteMax oracle on graph families
-// chosen to stress their phase logic — unbalanced sides, disconnected
-// components, complete bipartite blocks, stars, and long augmenting chains.
+// Adversarial structure tests: Hopcroft–Karp and the bitset Matcher must
+// agree with the exhaustive BruteMax oracle on graph families chosen to
+// stress their phase logic — unbalanced sides, disconnected components,
+// complete bipartite blocks, stars, and long augmenting chains.
 
 // checkAgainstBrute asserts both fast algorithms return a valid matching of
 // the oracle's size.
@@ -23,9 +23,9 @@ func checkAgainstBrute(t *testing.T, name string, nl, nr int, adj [][]int) {
 	}
 	validMatching(t, nl, nr, adj, match)
 
-	kuhn, ksize := Max(nl, nr, adj)
+	kuhn, ksize := maxMatching(nl, nr, adj)
 	if ksize != want {
-		t.Errorf("%s: Max size = %d, oracle says %d", name, ksize, want)
+		t.Errorf("%s: Matcher size = %d, oracle says %d", name, ksize, want)
 	}
 	validMatching(t, nl, nr, adj, kuhn)
 }
@@ -118,33 +118,25 @@ func TestRandomAgainstBrute(t *testing.T) {
 }
 
 func TestIncrementalAgainstBruteAcrossBatches(t *testing.T) {
-	// The prioritized incremental matcher must reach the optimum no matter
-	// how the edge set is split into batches.
+	// The prioritized matcher must reach the optimum no matter how the
+	// edge set is split into priority batches.
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
-		nl := 2 + rng.Intn(7)
-		nr := 2 + rng.Intn(7)
-		adj := randomAdj(rng, nl, nr, 0.4)
-		want := BruteMax(nl, nr, adj)
+		n := 2 + rng.Intn(7)
+		adj := randomAdj(rng, n, n, 0.4)
+		want := BruteMax(n, n, adj)
 
-		m := NewIncremental(nl, nr)
-		type edge struct{ l, r int }
-		var edges []edge
-		for l, rs := range adj {
-			for _, r := range rs {
-				edges = append(edges, edge{l, r})
-			}
+		levels := make([]int, n)
+		for i := range levels {
+			levels[i] = rng.Intn(4)
 		}
-		for len(edges) > 0 {
-			k := 1 + rng.Intn(len(edges))
-			for _, e := range edges[:k] {
-				m.AddEdge(e.l, e.r)
-			}
-			edges = edges[k:]
-			m.Augment()
+		var m Matcher
+		m.Reset(relationOf(n, n, adj))
+		if got := m.AugmentLevels(func(a int) int { return levels[a] }); got != want {
+			t.Fatalf("trial %d: prioritized size = %d, oracle says %d", trial, got, want)
 		}
 		if got := m.Size(); got != want {
-			t.Fatalf("trial %d: incremental size = %d, oracle says %d", trial, got, want)
+			t.Fatalf("trial %d: Size() = %d after AugmentLevels returned %d", trial, got, want)
 		}
 	}
 }

@@ -13,8 +13,8 @@ package measure
 
 import (
 	"fmt"
-	"slices"
 	"sort"
+	"sync"
 
 	"ursa/internal/dag"
 	"ursa/internal/matching"
@@ -35,75 +35,29 @@ type Result struct {
 	ChainOf []int
 }
 
-// relEdge is one reuse pair with its hammock-crossing priority (the
-// absolute nesting-level difference of the two producers; 0 when no level
-// information is supplied).
-type relEdge struct {
-	a, b int
-	prio int
-}
-
-// sortedEdges lists the reuse order's pairs sorted by (priority, a, b):
-// the canonical order in which the prioritized matcher consumes them. The
-// key is a total order, so the sort is deterministic.
-func sortedEdges(r *reuse.Reuse, levels []int) []relEdge {
-	var dst []relEdge
-	for a := 0; a < r.NumItems(); a++ {
-		r.Rel.Row(a).ForEach(func(b int) {
-			prio := 0
-			if levels != nil {
-				la := levels[r.Items[a].Node]
-				lb := levels[r.Items[b].Node]
-				if la > lb {
-					prio = la - lb
-				} else {
-					prio = lb - la
-				}
-			}
-			dst = append(dst, relEdge{a, b, prio})
-		})
-	}
-	slices.SortFunc(dst, func(x, y relEdge) int {
-		if x.prio != y.prio {
-			return x.prio - y.prio
-		}
-		if x.a != y.a {
-			return x.a - y.a
-		}
-		return x.b - y.b
-	})
-	return dst
-}
-
-// augmentBatches feeds priority-sorted edges to the matcher one priority
-// batch at a time, augmenting after each batch: the paper's prioritized
-// matching, under which the lower-priority (non-crossing) pairs are
-// matched first.
-func augmentBatches(m *matching.Incremental, edges []relEdge) {
-	for i := 0; i < len(edges); {
-		j := i
-		for j < len(edges) && edges[j].prio == edges[i].prio {
-			m.AddEdge(edges[j].a, edges[j].b)
-			j++
-		}
-		m.Augment()
-		i = j
-	}
-}
+// matchers pools the matchers behind Chains: a committed measurement runs
+// one prioritized matching and keeps only the decomposition.
+var matchers = sync.Pool{New: func() any { return new(matching.Matcher) }}
 
 // Chains computes a minimum chain decomposition of the reuse order using
-// prioritized incremental matching. levels gives each graph node's hammock
-// nesting level (from dag.Graph.NestLevels); nil means no prioritization.
+// prioritized matching. levels gives each graph node's hammock nesting level
+// (from dag.Graph.NestLevels); an edge's priority is the level difference
+// of its items' producers, and nil levels means no prioritization.
 func Chains(r *reuse.Reuse, levels []int) *Result {
-	n := r.NumItems()
-	m := matching.NewIncremental(n, n)
-	augmentBatches(m, sortedEdges(r, levels))
+	m := matchers.Get().(*matching.Matcher)
+	defer matchers.Put(m)
+	m.Reset(r.Rel)
+	if levels == nil {
+		m.Augment()
+	} else {
+		m.AugmentLevels(func(a int) int { return levels[r.Items[a].Node] })
+	}
 	return buildResult(r, m)
 }
 
 // buildResult turns a maximum matching over the reuse order into the chain
 // decomposition Result, in deterministic order.
-func buildResult(r *reuse.Reuse, m *matching.Incremental) *Result {
+func buildResult(r *reuse.Reuse, m *matching.Matcher) *Result {
 	n := r.NumItems()
 	res := &Result{R: r, ChainOf: make([]int, n)}
 	res.Width = n - m.Size()

@@ -5,33 +5,10 @@ import (
 	"ursa/internal/reuse"
 )
 
-// DeltaScratch holds the reusable buffers behind Width: a pooled matcher
-// and the seed pairs. One scratch belongs to one evaluator worker; the
-// zero value is ready to use.
+// DeltaScratch holds the matcher behind Width, reused across calls. One
+// scratch belongs to one evaluator worker; the zero value is ready to use.
 type DeltaScratch struct {
-	m     *matching.Incremental
-	pairs []int
-}
-
-// pairsInto reconstructs, into a reused buffer, the left-to-right matching
-// pairs underlying a measured decomposition: consecutive chain elements x, y
-// mean x's resource instance is reused by y, i.e. left vertex x is matched
-// to right vertex y.
-func pairsInto(dst []int, prev *Result) []int {
-	n := len(prev.ChainOf)
-	if cap(dst) < n {
-		dst = make([]int, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = -1
-	}
-	for _, c := range prev.Chains {
-		for k := 0; k+1 < len(c); k++ {
-			dst[c[k]] = c[k+1]
-		}
-	}
-	return dst
+	matcher matching.Matcher
 }
 
 // Width returns the width of the reuse order r — its item count less a
@@ -50,18 +27,10 @@ func pairsInto(dst []int, prev *Result) []int {
 // prev nil or over a different item set, the matching runs cold.
 func Width(prev *Result, r *reuse.Reuse, s *DeltaScratch) int {
 	n := r.NumItems()
-	if s.m == nil {
-		s.m = matching.NewIncremental(n, n)
-	} else {
-		s.m.Reset(n, n)
-	}
-	m := s.m
+	m := &s.matcher
+	m.Reset(r.Rel)
 	if prev != nil && prev.R != nil && prev.R.NumItems() == n {
-		s.pairs = pairsInto(s.pairs, prev)
-		m.Seed(s.pairs)
-	}
-	for a := 0; a < n; a++ {
-		r.Rel.Row(a).ForEach(func(b int) { m.AddEdge(a, b) })
+		m.Seed(prev.Chains)
 	}
 	return n - m.Augment()
 }

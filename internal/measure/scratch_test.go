@@ -53,3 +53,24 @@ func TestWidthMatchesChains(t *testing.T) {
 		}
 	}
 }
+
+// TestWidthAllocatesNothing: on a reused scratch, cold and warm-started
+// widths allocate nothing — the candidate scorer's steady state.
+func TestWidthAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	g, err := dag.Build(randomBlock(rng, 140).Blocks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s DeltaScratch
+	for _, r := range []*reuse.Reuse{reuse.FU(g, reuse.AllFUs), reuse.Reg(g, ir.ClassInt)} {
+		prev := Measure(r)
+		Width(prev, r, &s)
+		if a := testing.AllocsPerRun(20, func() { Width(nil, r, &s) }); a != 0 {
+			t.Errorf("%s: cold Width allocs per run = %v, want 0", r, a)
+		}
+		if a := testing.AllocsPerRun(20, func() { Width(prev, r, &s) }); a != 0 {
+			t.Errorf("%s: warm Width allocs per run = %v, want 0", r, a)
+		}
+	}
+}

@@ -36,6 +36,12 @@ func (s *BitSet) Clear(i int) { s.words[i>>6] &^= 1 << (uint(i) & 63) }
 // Has reports whether i is in the set.
 func (s *BitSet) Has(i int) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
+// Words returns the set's backing words, bit i of the set being bit i&63 of
+// word i>>6. The slice aliases internal storage and must not be mutated;
+// it is how word-level scans (matching, reuse-pair derivation) read a set
+// 64 members at a time.
+func (s *BitSet) Words() []uint64 { return s.words }
+
 // Count returns the cardinality of the set.
 func (s *BitSet) Count() int {
 	c := 0

@@ -98,7 +98,6 @@ func statsFromArtifact(a *store.Artifact, method Method, machineName string) *St
 		Machine:        machineName,
 		Words:          a.Stats.Words,
 		SpillOps:       a.Stats.SpillOps,
-		CritPath:       a.Stats.CritPath,
 		URSATransforms: a.Stats.URSATransforms,
 		URSAFits:       a.Stats.URSAFits,
 	}
@@ -117,7 +116,6 @@ func artifactOf(f *ir.Func, fp *FuncProgram, st *Stats) *store.Artifact {
 			SpillOps:       st.SpillOps,
 			IntRegs:        st.RegsUsed[ir.ClassInt],
 			FPRegs:         st.RegsUsed[ir.ClassFP],
-			CritPath:       st.CritPath,
 			URSATransforms: st.URSATransforms,
 			URSAFits:       st.URSAFits,
 		},

@@ -110,7 +110,6 @@ type Stats struct {
 	Words    int // issue slots (schedule length in words)
 	SpillOps int // spill stores + reloads in the final code
 	RegsUsed [ir.NumClasses]int
-	CritPath int // schedule length in words, the same count as Words
 	// URSA-only.
 	URSATransforms int
 	URSAFits       bool
@@ -276,7 +275,6 @@ func Compile(b *ir.Block, m *machine.Config, method Method, opts Options) (*assi
 			st.SpillOps++
 		}
 	}
-	st.CritPath = st.Words
 	return prog, st, nil
 }
 

@@ -22,8 +22,10 @@ package reuse
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
+	"sync"
 
 	"ursa/internal/dag"
 	"ursa/internal/ir"
@@ -80,16 +82,52 @@ func FU(g *dag.Graph, member func(*dag.Node) bool) *Reuse {
 		r.Items = append(r.Items, Item{Node: n.ID})
 	}
 	r.Rel = order.NewRelation(len(r.Items))
-	fillRel(r.Rel, r.Items, nil, g.Reach())
+	fillRel(r.Rel, r.Items, nil, g.Reach(), nil)
 	return r
 }
+
+// itemIndex maps graph nodes to the items they produce, for deriving reuse
+// pairs a word at a time: mask holds the nodes that produce an item, and
+// item[v] is the item node v produces, or -1 when several do. Only the
+// root produces several (the live-in values), and the root is never
+// reached and never a kill, so no pair involves it through the index.
+type itemIndex struct {
+	mask []uint64
+	item []int32
+}
+
+// build indexes items over a graph of nn nodes, reusing the storage.
+func (ix *itemIndex) build(items []Item, nn int) {
+	ix.mask = grow(ix.mask, (nn+63)/64)
+	clear(ix.mask)
+	ix.item = grow(ix.item, nn)
+	for i, it := range items {
+		v, bit := it.Node, uint64(1)<<(it.Node&63)
+		if ix.mask[v>>6]&bit != 0 {
+			ix.item[v] = -1
+			continue
+		}
+		ix.mask[v>>6] |= bit
+		ix.item[v] = int32(i)
+	}
+}
+
+// indexes pools the item indexes of the one-shot builds (FU, Values).
+var indexes = sync.Pool{New: func() any { return new(itemIndex) }}
 
 // fillRel adds CanReuse_R's pairs over items to rel, derived from the node
 // reachability closure reach. For functional-unit items (kill nil), (a, b)
 // iff a's node reaches b's. For value items, (a, b) iff Kill(a) is b's
 // producer or reaches it; killed-at-leaf values (kill -1) relate to
-// nothing.
-func fillRel(rel *order.Relation, items []Item, kill []int, reach *order.Relation) {
+// nothing. Each item's pairs are the set bits of its node's closure row
+// under the item mask, read 64 nodes at a time. ix is the caller's
+// reusable index; nil borrows a pooled one.
+func fillRel(rel *order.Relation, items []Item, kill []int, reach *order.Relation, ix *itemIndex) {
+	if ix == nil {
+		ix = indexes.Get().(*itemIndex)
+		defer indexes.Put(ix)
+	}
+	ix.build(items, reach.Size())
 	for i, a := range items {
 		k := a.Node
 		if kill != nil {
@@ -98,11 +136,16 @@ func fillRel(rel *order.Relation, items []Item, kill []int, reach *order.Relatio
 		if k < 0 {
 			continue
 		}
-		row := reach.Row(k)
-		for j, b := range items {
-			// For FU items k == b.Node only when i == j: one item per node.
-			if i != j && (k == b.Node || row.Has(b.Node)) {
-				rel.Add(i, j)
+		row := reach.Row(k).Words()
+		for w, mw := range ix.mask {
+			x := row[w]
+			if w == k>>6 {
+				x |= 1 << (k & 63) // k's own item; for FU items that is a
+			}
+			for x &= mw; x != 0; x &= x - 1 {
+				if j := int(ix.item[w<<6|bits.TrailingZeros64(x)]); j >= 0 && j != i {
+					rel.Add(i, j)
+				}
 			}
 		}
 	}
@@ -184,7 +227,7 @@ func Values(g *dag.Graph, c ir.Class, include func(n *dag.Node) bool, liveIn fun
 	reach := g.Reach()
 	r.Kill = SelectKills(g, r.Items, reach)
 	r.Rel = order.NewRelation(len(r.Items))
-	fillRel(r.Rel, r.Items, r.Kill, reach)
+	fillRel(r.Rel, r.Items, r.Kill, reach, nil)
 	return r
 }
 
@@ -197,12 +240,8 @@ func Values(g *dag.Graph, c ir.Class, include func(n *dag.Node) bool, liveIn fun
 // live with their ancestors (paper §3.2). Ties prefer deeper nodes, then
 // lower node ids, keeping results deterministic.
 func SelectKills(g *dag.Graph, items []Item, reach *order.Relation) []int {
-	ks := KillScratch{uses: make([][]int, len(items))}
-	for i, it := range items {
-		if !g.LiveOut[it.Reg] {
-			ks.uses[i] = g.UseNodes(it.Reg)
-		}
-	}
+	var ks KillScratch
+	ks.PrecomputeUses(g, items)
 	return SelectKillsInto(g, items, reach, g.Depths(), &ks)
 }
 

@@ -4,22 +4,21 @@ import (
 	"slices"
 
 	"ursa/internal/dag"
-	"ursa/internal/ir"
 	"ursa/internal/order"
 )
 
 // KillScratch holds the reusable state behind SelectKillsInto and
 // UpdateClosureInto: per-value use lists precomputed once per reduction
-// iteration, plus the kill-selection working buffers. One scratch belongs
-// to one evaluator worker; the zero value is ready to use.
+// iteration, the kill-selection working buffers, and the node-to-item
+// index the pair derivation reads. One scratch belongs to one evaluator
+// worker; the zero value is ready to use.
 type KillScratch struct {
 	// uses[i] lists the nodes reading item i's register, in id order —
-	// filled by PrecomputeUses (or, for one-shot SelectKills, from
-	// g.UseNodes). Sequencing edges never change uses, so one
+	// filled by PrecomputeUses. Sequencing edges never change uses, so one
 	// precomputation serves every seq candidate of an iteration.
 	uses [][]int
 
-	byReg [][]int // register -> use-node list, reused across calls
+	itemOf []int32 // register -> item index + 1, 0 for no item
 
 	kill      []int
 	maximal   []int
@@ -28,6 +27,8 @@ type KillScratch struct {
 	candIdx   []int   // node id -> index into candNode+1, 0 = absent
 	candDead  []bool  // candidate killer consumed by the greedy cover
 	remaining []bool
+
+	ix itemIndex // node -> item index behind UpdateClosureInto's fill
 }
 
 // PrecomputeUses fills the scratch's per-item use lists for the given item
@@ -35,40 +36,30 @@ type KillScratch struct {
 // instructions instead of one pass per item.
 func (ks *KillScratch) PrecomputeUses(g *dag.Graph, items []Item) {
 	nr := g.Func.NumRegs()
-	if cap(ks.byReg) < nr {
-		ks.byReg = make([][]int, nr)
-	}
-	ks.byReg = ks.byReg[:nr]
-	for i := range ks.byReg {
-		ks.byReg[i] = ks.byReg[i][:0]
+	ks.itemOf = grow(ks.itemOf, nr)
+	clear(ks.itemOf)
+	ks.uses = grow(ks.uses, len(items))
+	for i, it := range items {
+		ks.uses[i] = ks.uses[i][:0]
+		if it.Reg > 0 && int(it.Reg) < nr {
+			ks.itemOf[it.Reg] = int32(i + 1)
+		}
 	}
 	for _, n := range g.Nodes {
 		if n.Instr == nil {
 			continue
 		}
 		for _, u := range n.Instr.Uses() {
-			if u <= 0 || int(u) >= nr {
+			if u <= 0 || int(u) >= nr || ks.itemOf[u] == 0 {
 				continue
 			}
-			l := ks.byReg[u]
+			i := ks.itemOf[u] - 1
 			// A node reading the register through several operands counts
 			// once, matching UseNodes' per-node dedupe.
-			if len(l) > 0 && l[len(l)-1] == n.ID {
-				continue
+			if l := ks.uses[i]; len(l) == 0 || l[len(l)-1] != n.ID {
+				ks.uses[i] = append(l, n.ID)
 			}
-			ks.byReg[u] = append(l, n.ID)
 		}
-	}
-	if cap(ks.uses) < len(items) {
-		ks.uses = make([][]int, len(items))
-	}
-	ks.uses = ks.uses[:len(items)]
-	for i, it := range items {
-		if it.Reg == ir.NoReg {
-			ks.uses[i] = nil
-			continue
-		}
-		ks.uses[i] = ks.byReg[it.Reg]
 	}
 }
 
@@ -81,14 +72,14 @@ func (ks *KillScratch) PrecomputeUses(g *dag.Graph, items []Item) {
 // the next call.
 func SelectKillsInto(g *dag.Graph, items []Item, reach *order.Relation, depth []int, ks *KillScratch) []int {
 	n := len(items)
-	ks.kill = growInts(ks.kill, n)
+	ks.kill = grow(ks.kill, n)
 	kill := ks.kill
 	nn := g.NumNodes()
-	ks.candIdx = growInts(ks.candIdx, nn)
+	ks.candIdx = grow(ks.candIdx, nn)
 	candIdx := ks.candIdx
 	clear(candIdx)
 	ks.candNode = ks.candNode[:0]
-	ks.remaining = growBools(ks.remaining, n)
+	ks.remaining = grow(ks.remaining, n)
 	remaining := ks.remaining
 	nRemaining := 0
 	for i := range ks.candItems {
@@ -135,7 +126,7 @@ func SelectKillsInto(g *dag.Graph, items []Item, reach *order.Relation, depth []
 		}
 	}
 
-	ks.candDead = growBools(ks.candDead, len(ks.candNode))
+	ks.candDead = grow(ks.candDead, len(ks.candNode))
 	dead := ks.candDead
 	for i := range dead {
 		dead[i] = false
@@ -219,22 +210,15 @@ func (r *Reuse) UpdateClosureInto(g *dag.Graph, reach *order.Relation, depth []i
 		IsReg: r.IsReg,
 		Class: r.Class,
 	}
-	fillRel(rel, r.Items, kill, reach)
+	fillRel(rel, r.Items, kill, reach, &ks.ix)
 	return same
 }
 
-// growInts returns a length-n int slice reusing s's storage when possible.
-func growInts(s []int, n int) []int {
+// grow returns a length-n slice reusing s's storage when possible. The
+// contents are unspecified; callers overwrite or clear them.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// growBools returns a length-n bool slice reusing s's storage when possible.
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

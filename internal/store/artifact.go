@@ -16,7 +16,9 @@ import (
 // Version 2: the opcode space grew an inter-cluster copy (ir.Copy), so the
 // latency table hashed into every key changed length, and machine hashing
 // gained the clustered/buffered/issue-width target fields.
-const SchemaVersion = 2
+//
+// Version 3: the statistics lost crit_path, which always equalled words.
+const SchemaVersion = 3
 
 // Artifact is one cached compile result: the per-block listings exactly
 // as the pipeline emitted them, plus the static statistics — everything
@@ -44,7 +46,6 @@ type ArtifactStats struct {
 	SpillOps       int  `json:"spill_ops"`
 	IntRegs        int  `json:"int_regs"`
 	FPRegs         int  `json:"fp_regs"`
-	CritPath       int  `json:"crit_path"`
 	URSATransforms int  `json:"ursa_transforms"`
 	URSAFits       bool `json:"ursa_fits"`
 }

@@ -11,7 +11,6 @@
 package transform
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -239,49 +238,32 @@ func (c *Candidate) SeqOnly() bool { return c.Spill == nil && c.CopySpill == nil
 // kind, the edge set in sorted order, and the spill target. Candidates with
 // equal keys transform the graph identically even when their generators and
 // Notes differ; the driver uses this to measure each distinct effect once
-// per iteration. Key allocates its result; the evaluator's hot path uses
-// FixedKey with a reused buffer instead.
+// per iteration. Key allocates its result; the evaluator's hot path appends
+// the same encoding (AppendKey) to a reused buffer instead.
 func (c *Candidate) Key() string { return string(c.AppendKey(nil)) }
 
-// A CandKey is a fixed-size comparable digest of a candidate's canonical
-// encoding (AppendKey), usable directly as a map key. Candidates with equal
-// effect always collide; distinct effects are separated by the full 256-bit
-// digest.
-type CandKey [sha256.Size]byte
-
-// FixedKey returns the candidate's fixed-size key. buf is an optional
-// scratch buffer reused for the canonical encoding; the (possibly grown)
-// buffer is returned so callers can thread one allocation through a whole
-// dedupe pass.
-func (c *Candidate) FixedKey(buf []byte) (CandKey, []byte) {
-	buf = c.AppendKey(buf[:0])
-	return CandKey(sha256.Sum256(buf)), buf
-}
-
 // AppendKey appends the candidate's canonical binary encoding to dst and
-// returns the extended slice. The encoding is what Key and FixedKey are
-// built from: kind, edge count, edges sorted lexicographically, and the
-// spill payload (register, definition, sorted barriers, sorted pre-roots)
-// when present. Candidates with up to 32 edges encode without allocating
+// returns the extended slice. The encoding is what Key is built from:
+// kind, edge count, edges sorted lexicographically, and the spill payload
+// (register, definition, sorted barriers, sorted pre-roots) when present. Candidates with up to 32 edges encode without allocating
 // beyond dst's growth.
 func (c *Candidate) AppendKey(dst []byte) []byte {
 	dst = append(dst, byte(c.Kind))
-	var stack [32][2]int
+	// Node ids are non-negative and below 2³², so packing an edge as
+	// from<<32|to makes numeric order the lexicographic edge order.
+	var stack [32]uint64
 	edges := stack[:0]
 	if len(c.Edges) > len(stack) {
-		edges = make([][2]int, 0, len(c.Edges))
+		edges = make([]uint64, 0, len(c.Edges))
 	}
-	edges = append(edges, c.Edges...)
-	slices.SortFunc(edges, func(a, b [2]int) int {
-		if a[0] != b[0] {
-			return a[0] - b[0]
-		}
-		return a[1] - b[1]
-	})
+	for _, e := range c.Edges {
+		edges = append(edges, uint64(e[0])<<32|uint64(e[1]))
+	}
+	slices.Sort(edges)
 	dst = binary.AppendUvarint(dst, uint64(len(edges)))
 	for _, e := range edges {
-		dst = binary.AppendUvarint(dst, uint64(e[0]))
-		dst = binary.AppendUvarint(dst, uint64(e[1]))
+		dst = binary.AppendUvarint(dst, e>>32)
+		dst = binary.AppendUvarint(dst, e&(1<<32-1))
 	}
 	if sp := c.Spill; sp != nil {
 		dst = append(dst, 1)
