@@ -25,9 +25,9 @@
 // lines go to stderr.
 //
 // -benchjson runs internal/bench's suite (BenchmarkPickBest,
-// BenchmarkReduceLarge; full vs incremental modes) through
+// BenchmarkReduceLarge; full vs incremental modes) three times each through
 // testing.Benchmark and writes one {name, ns/op, allocs/op, bytes/op}
-// object per benchmark — the repo's perf trajectory. The committed baseline
+// object per benchmark, from its median-ns/op run — the repo's perf trajectory. The committed baseline
 // lives at BENCH_core.json; regenerate it on perf-relevant changes and let
 // the diff tell the story.
 //

@@ -10,6 +10,7 @@
 package bench
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -201,20 +202,35 @@ func Suite() []Named {
 	}
 }
 
-// Run executes every benchmark through testing.Benchmark and returns the
-// entries in suite order.
+// runsPerRow is how many testing.Benchmark runs each row takes. The row
+// records the run with the median ns/op, so one run slowed by a neighbour
+// on a shared host does not move the ledger.
+const runsPerRow = 3
+
+// Run executes every benchmark runsPerRow times through testing.Benchmark
+// and returns, in suite order, each benchmark's median-ns/op run.
 func Run(suite []Named) []Entry {
 	entries := make([]Entry, 0, len(suite))
+	runs := make([]Entry, runsPerRow)
 	for _, n := range suite {
-		r := testing.Benchmark(n.Bench)
-		entries = append(entries, Entry{
-			Name:        n.Name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		})
+		for i := range runs {
+			r := testing.Benchmark(n.Bench)
+			runs[i] = Entry{
+				Name:        n.Name,
+				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+				AllocsPerOp: r.AllocsPerOp(),
+				BytesPerOp:  r.AllocedBytesPerOp(),
+			}
+		}
+		entries = append(entries, medianRun(runs))
 	}
 	return entries
+}
+
+// medianRun returns the run with the median ns/op, reordering runs.
+func medianRun(runs []Entry) Entry {
+	slices.SortFunc(runs, func(a, b Entry) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+	return runs[len(runs)/2]
 }
 
 // WriteJSON writes the entries to path in the BENCH_core.json schema:

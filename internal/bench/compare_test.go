@@ -102,3 +102,16 @@ func TestReadJSONRoundTrip(t *testing.T) {
 		t.Error("ReadJSON on a missing file should error")
 	}
 }
+
+// TestMedianRun: a row takes the whole run whose ns/op is the median, its
+// allocation figures included, so one outlier run moves neither.
+func TestMedianRun(t *testing.T) {
+	runs := []Entry{
+		{Name: "a", NsPerOp: 900, AllocsPerOp: 7, BytesPerOp: 70},
+		{Name: "a", NsPerOp: 5000, AllocsPerOp: 8, BytesPerOp: 80},
+		{Name: "a", NsPerOp: 1000, AllocsPerOp: 9, BytesPerOp: 90},
+	}
+	if got, want := medianRun(runs), (Entry{Name: "a", NsPerOp: 1000, AllocsPerOp: 9, BytesPerOp: 90}); got != want {
+		t.Errorf("medianRun = %+v, want %+v", got, want)
+	}
+}
