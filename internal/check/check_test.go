@@ -161,6 +161,9 @@ func TestRunCampaignClean(t *testing.T) {
 	if sum.Exercised[deltaSpillReplays] == 0 {
 		t.Error("the delta oracle replayed no spill or copy-spill candidate")
 	}
+	if sum.Exercised[deltaSpillWarm] == 0 {
+		t.Error("no spill or copy-spill replay warm-started a resource")
+	}
 }
 
 func TestRunDeterministic(t *testing.T) {

@@ -25,18 +25,24 @@ const deltaSpillLimit = 8
 // replays, so a campaign shows the spill path was actually replayed.
 const deltaSpillReplays = OracleDelta + ".spills"
 
+// deltaSpillWarm is the Exercised sub-count of spill and copy-spill
+// replays in which at least one resource kept its items and kills, so a
+// campaign shows the warm start was taken after a spill.
+const deltaSpillWarm = OracleDelta + ".spill_warm"
+
 // checkDelta holds the reduction loop's candidate scorer to the
 // from-scratch definition of a score:
 //
 //   - every core.ScoreCandidates outcome — sequencing, spill and copy-spill
 //     alike — equals clone, Apply, Measure every resource, CriticalPath;
-//   - replayed sequencing candidates: the closure Apply maintained, the
-//     updated relation and kills, and the width equal from-scratch
-//     rebuilds, kill shifts included, and the kill-shift report is exact
-//     (checkDeltaCandidate);
-//   - replayed spill and copy-spill candidates, on their own budget, yield
-//     a valid graph whose spill wiring matches the from-scratch closure of
-//     the result (checkSpillCandidate);
+//   - replayed candidates, sequencing and, on their own budget, spill and
+//     copy-spill: the closure Apply kept, each resource's pooled build
+//     (items, kills and relation) and the width equal from-scratch
+//     rebuilds, kill shifts included, and the report of unchanged items
+//     and kills is exact (checkDeltaCandidate);
+//   - replayed spill and copy-spill candidates yield a valid graph whose
+//     spill wiring matches the from-scratch closure of the result
+//     (checkSpillCandidate);
 //   - a refused application leaves the graph, its node count and its
 //     register count unchanged, and every UndoLog.Revert restores them,
 //     since the evaluator reuses one scratch graph across a worker's
@@ -64,7 +70,7 @@ func checkDelta(rep *Report, c *Case) {
 	}
 
 	var log transform.UndoLog
-	var sc deltaScratch
+	sc := deltaScratch{res: make([]reuse.Builder, len(resources))}
 	seqs, spills := 0, 0
 	for _, r := range resources {
 		res := base[r.Name]
@@ -75,7 +81,7 @@ func checkDelta(rep *Report, c *Case) {
 		for _, limit := range limits {
 			for _, set := range measure.FindExcess(res, hammocks, limit) {
 				var cands []*transform.Candidate
-				if r.IsRegister {
+				if r.Spec.Values {
 					cands = append(transform.RegSeqCandidates(g, baseReach, depths, res, set),
 						transform.SpillCandidates(g, depths, res, set)...)
 				} else {
@@ -110,10 +116,12 @@ func checkDelta(rep *Report, c *Case) {
 					}
 					*replayed++
 					rep.tick(OracleDelta)
-					if cand.SeqOnly() {
-						checkDeltaCandidate(rep, g, resources, base, reach, cand, &sc)
-					} else {
+					warm := checkDeltaCandidate(rep, g, resources, base, reach, cand, &sc)
+					if !cand.SeqOnly() {
 						rep.tick(deltaSpillReplays)
+						if warm {
+							rep.tick(deltaSpillWarm)
+						}
 						checkSpillCandidate(rep, g, cand, nodes, uses)
 					}
 					log.Revert()
@@ -164,74 +172,84 @@ func checkDeltaScores(rep *Report, g *dag.Graph, m *machine.Config, resources []
 }
 
 // deltaScratch is the oracle's counterpart of an evaluator worker's
-// measurement scratch, reused across every candidate and resource.
+// measurement scratch, reused across every candidate: one pooled builder
+// per resource.
 type deltaScratch struct {
 	topo  dag.Scratch
-	kills reuse.KillScratch
+	res   []reuse.Builder
 	delta measure.DeltaScratch
 }
 
 // checkDeltaCandidate compares, on the already-transformed graph g, the
-// closure Apply maintained (inc) and the per-resource updates against
-// their from-scratch references: inc equals Graph.Reach, UpdateClosureInto's
-// relation and kills equal a rebuild and it reports a kill shift exactly
-// when the rebuilt kills differ, and the width the evaluator takes —
-// warm-started while the kills hold, cold otherwise — equals the measured
-// width of the rebuild.
+// closure Apply kept (inc) and the per-resource builds against their
+// from-scratch references: inc equals Graph.Reach, each pooled build's
+// items, kills and relation equal Resource.Build's, it reports the items
+// and kills unchanged exactly when the rebuild's equal the committed
+// ones, and the width the evaluator takes — warm-started on that report,
+// cold otherwise — equals the measured width of the rebuild. It reports
+// whether any resource warm-started.
 func checkDeltaCandidate(rep *Report, g *dag.Graph, resources []core.Resource,
 	base map[string]*measure.Result, inc *order.Relation,
-	cand *transform.Candidate, sc *deltaScratch) {
+	cand *transform.Candidate, sc *deltaScratch) bool {
 
 	full := g.Reach()
+	if inc.Size() != full.Size() {
+		rep.failf(OracleDelta, "%s: incremental closure over %d nodes, graph has %d", cand, inc.Size(), full.Size())
+		return false
+	}
 	for a := 0; a < full.Size(); a++ {
 		for b := 0; b < full.Size(); b++ {
 			if inc.Has(a, b) != full.Has(a, b) {
 				rep.failf(OracleDelta, "%s: incremental closure disagrees at (%d,%d): inc=%v full=%v",
 					cand, a, b, inc.Has(a, b), full.Has(a, b))
-				return
+				return false
 			}
 		}
 	}
 
 	depths := g.DepthsInto(&sc.topo)
-	for _, r := range resources {
+	anyWarm := false
+	for ri, r := range resources {
 		prev := base[r.Name]
 		fresh := r.Build(g)
-		if r.IsRegister {
-			sc.kills.PrecomputeUses(g, prev.R.Items)
-		}
-		ru := reuse.Reuse{Rel: order.NewRelation(prev.R.NumItems())}
-		held := prev.R.UpdateClosureInto(g, inc, depths, &sc.kills, &ru)
-		if want := slices.Equal(fresh.Kill, prev.R.Kill); held != want {
-			rep.failf(OracleDelta, "%s %s: UpdateClosureInto reported kills held=%v, rebuild says %v",
+		ru, held := sc.res[ri].Build(g, &r.Spec, inc, depths, prev.R)
+		if want := slices.Equal(fresh.Items, prev.R.Items) && slices.Equal(fresh.Kill, prev.R.Kill); held != want {
+			rep.failf(OracleDelta, "%s %s: build reported items and kills held=%v, rebuild says %v",
 				r.Name, cand, held, want)
 			continue
 		}
+		if !slices.Equal(ru.Items, fresh.Items) {
+			rep.failf(OracleDelta, "%s %s: built items %v, rebuild %v", r.Name, cand, ru.Items, fresh.Items)
+			continue
+		}
 		if !slices.Equal(ru.Kill, fresh.Kill) {
-			rep.failf(OracleDelta, "%s %s: updated kills %v, rebuild %v", r.Name, cand, ru.Kill, fresh.Kill)
+			rep.failf(OracleDelta, "%s %s: built kills %v, rebuild %v", r.Name, cand, ru.Kill, fresh.Kill)
 			continue
 		}
 		if ru.Rel.Size() != fresh.Rel.Size() {
-			rep.failf(OracleDelta, "%s %s: updated relation over %d items, rebuild %d",
+			rep.failf(OracleDelta, "%s %s: built relation over %d items, rebuild %d",
 				r.Name, cand, ru.Rel.Size(), fresh.Rel.Size())
 			continue
 		}
 		for i := 0; i < fresh.Rel.Size(); i++ {
 			got, want := ru.Rel.Row(i), fresh.Rel.Row(i)
 			if !got.SubsetOf(want) || !want.SubsetOf(got) {
-				rep.failf(OracleDelta, "%s %s: updated relation row %d is %v, rebuild %v",
+				rep.failf(OracleDelta, "%s %s: built relation row %d is %v, rebuild %v",
 					r.Name, cand, i, got, want)
 				break
 			}
 		}
 		warm := prev
-		if !held {
+		if held {
+			anyWarm = true
+		} else {
 			warm = nil
 		}
-		if got, want := measure.Width(warm, &ru, &sc.delta), measure.Measure(fresh).Width; got != want {
+		if got, want := measure.Width(warm, ru, &sc.delta), measure.Measure(fresh).Width; got != want {
 			rep.failf(OracleDelta, "%s %s: width %d (warm=%v), from scratch %d", r.Name, cand, got, held, want)
 		}
 	}
+	return anyWarm
 }
 
 // checkSpillCandidate holds the graph g a spill or copy-spill was just

@@ -355,7 +355,7 @@ func checkMonotonicity(rep *Report, c *Case) {
 			sets := measure.FindExcess(res, hammocks, limit)
 			for _, set := range sets {
 				var cands []*transform.Candidate
-				if r.IsRegister {
+				if r.Spec.Values {
 					cands = append(cands, transform.RegSeqCandidates(g, reach, depths, res, set)...)
 					cands = append(cands, transform.SpillCandidates(g, depths, res, set)...)
 				} else {
@@ -375,7 +375,7 @@ func checkMonotonicity(rep *Report, c *Case) {
 						rep.failf(OracleMono, "%s %s left an invalid DAG: %v", r.Name, cand, err)
 						continue
 					}
-					if !r.IsRegister {
+					if !r.Spec.Values {
 						w2 := measure.Measure(r.Build(cl)).Width
 						if w2 > res.Width {
 							rep.failf(OracleMono, "%s %s raised width %d -> %d",
@@ -499,12 +499,12 @@ func checkExact(rep *Report, c *Case) {
 	// URSA's measured width claims no schedule needs more registers; the
 	// solver proves some schedule needs at least MinPressure.
 	for _, r := range core.Resources(g, m) {
-		if !r.IsRegister {
+		if !r.Spec.Values {
 			continue
 		}
-		if w := measure.Measure(r.Build(g)).Width; w < res.MinPressure[r.Class] {
+		if w := measure.Measure(r.Build(g)).Width; w < res.MinPressure[r.Spec.Class] {
 			rep.failf(OracleExact, "%s: measured width %d below proven minimum pressure %d",
-				r.Name, w, res.MinPressure[r.Class])
+				r.Name, w, res.MinPressure[r.Spec.Class])
 		}
 	}
 

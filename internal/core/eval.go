@@ -43,30 +43,27 @@ type iterState struct {
 // one reusable scratch per worker, and fans candidates out via
 // internal/driver.
 //
-// Every candidate, on every target family, is applied to the worker's
-// scratch graph through a reusable transform.UndoLog, scored, and reverted;
-// the winner is applied to the committed graph through the same
-// transform.Candidate.Apply.
+// Every candidate, of every kind and on every target family, is scored on
+// one path: copy the committed closure into the worker's scratch, apply
+// the candidate to the worker's scratch graph through a reusable
+// transform.UndoLog (transform.Candidate.Apply keeps the closure closed
+// through sequencing edges and spill payloads alike), build every
+// resource into the worker's pooled reuse.Builder against that closure,
+// take its width, and revert. The winner is applied to the committed graph
+// and its closure through the same Apply.
 // A score needs only widths, and a width is the item count less a maximum
 // matching, so candidates never go through the measurement cache, the
 // fingerprint, the hammocks or the nesting levels: measure.Width is the one
-// scoring primitive. Each application tests its sequencing edges against a
-// scratch copy of the committed closure and keeps that copy closed
-// (order.Relation.AddClosureEdge); sequencing-only candidates then
-// rederive each resource's reuse pairs into pooled relation storage,
-// reading the closure rows a 64-bit word at a time under the resource's
-// item mask (reuse.Reuse.UpdateClosureInto). The matching runs on that
-// relation's bit rows, with no adjacency lists (matching.Matcher): it is
-// warm-started from the committed measurement when the resource's kill
-// vector is unchanged, and runs cold on the relation already filled when a
-// kill shifted. Per-cluster register files and exposed-datapath buffers
-// are ordinary reuse item sets, so they take the same path. Spill and
-// copy-spill payloads — which add nodes and rewrite operands or opcodes,
-// so no cheap delta exists — rebuild each resource's reuse structure and
-// match it cold. On sequencing candidates the evaluator allocates nothing
-// in steady state: graphs, closures, relations, matchers, and analysis
+// scoring primitive. It is warm-started from the committed measurement
+// when the builder reports the resource's items and kills unchanged —
+// reachability among existing nodes only grows under any candidate, so the
+// order then only gained pairs — and runs cold otherwise. Per-cluster
+// register files and exposed-datapath buffers are ordinary reuse item
+// sets, so they take the same path. In steady state an evaluation
+// allocates nothing beyond the instructions and registers a payload's
+// Apply creates: graphs, closures, relations, matchers, and analysis
 // buffers all reset in place across candidates and across reduction
-// iterations (TestSeqEvalAllocatesNothing).
+// iterations (TestSeqEvalAllocatesNothing, TestSpillEvalAllocatesOnlyApply).
 //
 // Only the committed graph is measured in full (prioritized chains, for the
 // excess sets), through Options.Cache: it serves the repeats across a Run's
@@ -94,6 +91,7 @@ type evaluator struct {
 	// memoized iteration state, the closure, and each scratch describe.
 	gen   int
 	reach *order.Relation // committed graph's closure
+	topo  dag.Scratch     // the committed depths' storage
 	log   transform.UndoLog
 	// commits[i] records the transformation that moved generation i to i+1,
 	// so stale scratches can replay instead of re-cloning.
@@ -118,45 +116,15 @@ type commitRec struct {
 // evalScratch is one worker's private reusable state: a clone of the
 // committed graph (with a cloned Func) that candidates mutate and revert, a
 // closure buffer copied from the committed closure before each
-// application, the undo log, and the per-resource measurement scratch.
+// application, the undo log, and one pooled reuse builder per resource.
 type evalScratch struct {
 	g     *dag.Graph
 	gen   int // generation sc.g matches
-	reach *order.Relation
+	reach order.Relation
 	log   transform.UndoLog
 	topo  dag.Scratch
 	delta measure.DeltaScratch
-	res   []scratchRes
-}
-
-// scratchRes is one worker's per-resource measurement scratch: the pooled
-// relation UpdateClosureInto fills, the reuse value wrapping it, and the
-// kill-selection scratch with its per-generation use-list tag.
-type scratchRes struct {
-	rel     *order.Relation
-	ru      reuse.Reuse
-	ks      reuse.KillScratch
-	usesGen int
-}
-
-// update fills rs.ru with prev's reuse structure rederived on the
-// candidate graph g, whose closure is reach and node depths depths, and
-// reports whether prev's kills held (see reuse.Reuse.UpdateClosureInto).
-// gen is the committed generation g was cloned or replayed from: use lists
-// are recomputed once per generation.
-func (rs *scratchRes) update(g *dag.Graph, reach *order.Relation, depths []int, prev *reuse.Reuse, gen int) bool {
-	n := prev.NumItems()
-	if rs.rel == nil || rs.rel.Size() != n {
-		rs.rel = order.NewRelation(n)
-	} else {
-		rs.rel.Reset()
-	}
-	if prev.IsReg && rs.usesGen != gen {
-		rs.ks.PrecomputeUses(g, prev.Items)
-		rs.usesGen = gen
-	}
-	rs.ru.Rel = rs.rel
-	return prev.UpdateClosureInto(g, reach, depths, &rs.ks, &rs.ru)
+	res   []reuse.Builder
 }
 
 func newEvaluator(g *dag.Graph, resources []Resource, lat func(*dag.Node) int, opts *Options) *evaluator {
@@ -185,16 +153,19 @@ func newEvaluator(g *dag.Graph, resources []Resource, lat func(*dag.Node) int, o
 // state returns the committed iteration state for the current generation,
 // computing it at most once per generation. Called only from the goroutine
 // driving the evaluator; candidate workers receive the result as an
-// argument.
+// argument. A measurement the cache misses is built from the committed
+// closure and depths.
 func (e *evaluator) state() *iterState {
 	if e.st != nil {
 		return e.st
 	}
 	st := &iterState{results: make(map[string]*measure.Result, len(e.resources))}
 	st.hammocks = e.g.Hammocks()
-	st.depths = e.g.Depths()
+	st.depths = e.g.DepthsInto(&e.topo)
 	for _, r := range e.resources {
-		res := e.opts.Cache.Measure(e.g, r.Name, r.Build)
+		res := e.opts.Cache.Measure(e.g, r.Name, func(g *dag.Graph) *reuse.Reuse {
+			return r.Spec.Build(g, e.reach, st.depths)
+		})
 		st.results[r.Name] = res
 		if d := res.Width - r.Limit; d > 0 {
 			st.excess += d
@@ -204,11 +175,10 @@ func (e *evaluator) state() *iterState {
 	return st
 }
 
-// commit applies the candidate to the committed graph and records it: it
-// advances the generation and invalidates the memoized iteration state.
-// Apply keeps the closure current across sequencing edges; a spill or
-// copy-spill adds nodes, so the closure is recomputed after one. A refused
-// commit leaves the closure stale, and the run ends with the error.
+// commit applies the candidate to the committed graph, whose closure Apply
+// keeps current, and records it: it advances the generation and
+// invalidates the memoized iteration state. A refused commit leaves the
+// closure stale, and the run ends with the error.
 func (e *evaluator) commit(c *transform.Candidate) error {
 	if err := c.Apply(e.g, e.reach, &e.log); err != nil {
 		return err
@@ -220,9 +190,6 @@ func (e *evaluator) commit(c *transform.Candidate) error {
 	e.commits = append(e.commits, rec)
 	e.gen++
 	e.st = nil
-	if rec.spill {
-		e.reach = e.g.Reach()
-	}
 	return nil
 }
 
@@ -233,7 +200,7 @@ func (e *evaluator) commit(c *transform.Candidate) error {
 func (e *evaluator) scratch(w int) *evalScratch {
 	sc := e.scratches[w]
 	if sc == nil {
-		sc = &evalScratch{res: make([]scratchRes, len(e.resources))}
+		sc = &evalScratch{res: make([]reuse.Builder, len(e.resources))}
 		sc.gen = -1
 		e.scratches[w] = sc
 	}
@@ -247,9 +214,6 @@ func (e *evaluator) scratch(w int) *evalScratch {
 		if rebuild {
 			sc.g = e.g.Clone()
 			sc.g.Func = e.g.Func.Clone()
-			for i := range sc.res {
-				sc.res[i].usesGen = -1
-			}
 		} else {
 			for gi := sc.gen; gi < e.gen; gi++ {
 				for _, ed := range e.commits[gi].edges {
@@ -331,40 +295,23 @@ func (e *evaluator) evalAll(cands []scored) ([]evalOutcome, error) {
 
 // evalIncremental scores a candidate on the worker's scratch graph through
 // the reusable undo log: apply, take every resource's width, revert. Each
-// width comes from one of two sources: a sequencing candidate's pooled
-// closure update, warm-started from the committed matching while the kills
-// hold, or, for spills and copy-spills, a cold rebuild of the resource.
+// width is warm-started from the committed matching when the resource's
+// items and kills held, and matched cold otherwise.
 func (e *evaluator) evalIncremental(sc *evalScratch, st *iterState, s scored) evalOutcome {
-	if sc.reach == nil || sc.reach.Size() != e.reach.Size() {
-		sc.reach = order.NewRelation(e.reach.Size())
-	}
 	sc.reach.CopyFrom(e.reach)
-	if err := s.cand.Apply(sc.g, sc.reach, &sc.log); err != nil {
+	if err := s.cand.Apply(sc.g, &sc.reach, &sc.log); err != nil {
 		return evalOutcome{s: s}
 	}
 	defer sc.log.Revert()
 
-	seq := s.cand.SeqOnly()
-	var depths []int
-	if seq {
-		depths = sc.g.DepthsInto(&sc.topo)
-	}
+	depths := sc.g.DepthsInto(&sc.topo)
 	excess := 0
 	for ri := range e.resources {
 		r := &e.resources[ri]
-		var warm *measure.Result // nil: match cold
-		var ru *reuse.Reuse
-		if seq {
-			rs := &sc.res[ri]
-			warm = st.results[r.Name]
-			if !rs.update(sc.g, sc.reach, depths, warm.R, e.gen) {
-				// A kill shifted: the committed matching may not be a
-				// matching of the new order.
-				warm = nil
-			}
-			ru = &rs.ru
-		} else {
-			ru = r.Build(sc.g)
+		warm := st.results[r.Name]
+		ru, held := sc.res[ri].Build(sc.g, &r.Spec, &sc.reach, depths, warm.R)
+		if !held {
+			warm = nil
 		}
 		if d := measure.Width(warm, ru, &sc.delta) - r.Limit; d > 0 {
 			excess += d

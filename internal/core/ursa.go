@@ -84,18 +84,21 @@ type Options struct {
 	Workers int
 }
 
-// A Resource pairs a reuse-structure builder with its machine limit.
+// A Resource pairs an item spec with its machine limit. A value spec
+// (Spec.Values) is a register resource — a register file, or an
+// exposed-datapath output buffer whose items span both register classes —
+// reduced by sequencing value lifetimes or spilling; Spec.Class is its
+// register class.
 type Resource struct {
-	Name       string
-	Limit      int
-	IsRegister bool
-	// IsBuffer marks an exposed-datapath output-buffer resource: a
-	// value-holding resource (reduced like registers, by sequencing value
-	// lifetimes or spilling) whose items span both register classes.
-	IsBuffer bool
-	Class    ir.Class // register class, when IsRegister && !IsBuffer
-	Build    func(g *dag.Graph) *reuse.Reuse
+	Name  string
+	Limit int
+	// Spec selects the resource's items; the evaluator builds it into
+	// pooled storage against the closure it keeps.
+	Spec reuse.Spec
 }
+
+// Build returns the resource's reuse structure on g, built from scratch.
+func (r Resource) Build(g *dag.Graph) *reuse.Reuse { return r.Spec.Build(g, g.Reach(), g.Depths()) }
 
 // Resources derives the resource list for a graph on a machine: one
 // functional-unit resource per FU class (a single one for homogeneous
@@ -111,20 +114,17 @@ func Resources(g *dag.Graph, m *machine.Config) []Resource {
 		rs = append(rs, Resource{
 			Name:  "fu",
 			Limit: m.Units[machine.ANY],
-			Build: func(g *dag.Graph) *reuse.Reuse { return reuse.FU(g, reuse.AllFUs) },
+			Spec:  reuse.FUSpec(reuse.AllFUs),
 		})
 	} else {
 		for _, cl := range m.FUClasses() {
-			cl := cl
 			if cl == machine.XFER {
 				// The transfer bus is machine-wide, and its instructions
 				// are exactly the inter-cluster copies.
 				rs = append(rs, Resource{
 					Name:  "fu.xfer",
 					Limit: m.Units.Get(machine.XFER),
-					Build: func(g *dag.Graph) *reuse.Reuse {
-						return reuse.FU(g, func(n *dag.Node) bool { return n.Instr.IsCopy() })
-					},
+					Spec:  reuse.FUSpec(func(n *dag.Node) bool { return n.Instr.IsCopy() }),
 				})
 				continue
 			}
@@ -141,12 +141,11 @@ func Resources(g *dag.Graph, m *machine.Config) []Resource {
 				rs = append(rs, Resource{
 					Name:  "fu." + cl.String(),
 					Limit: m.Units[cl],
-					Build: func(g *dag.Graph) *reuse.Reuse { return reuse.FU(g, member) },
+					Spec:  reuse.FUSpec(member),
 				})
 				continue
 			}
 			for k := 0; k < nc; k++ {
-				k := k
 				name := fmt.Sprintf("fu.c%d", k)
 				if !m.Homogeneous {
 					name = fmt.Sprintf("fu.%s.c%d", cl, k)
@@ -154,74 +153,60 @@ func Resources(g *dag.Graph, m *machine.Config) []Resource {
 				rs = append(rs, Resource{
 					Name:  name,
 					Limit: m.Units[cl],
-					Build: func(g *dag.Graph) *reuse.Reuse {
-						return reuse.FU(g, func(n *dag.Node) bool {
-							return int(n.Instr.Cluster) == k && member(n)
-						})
-					},
+					Spec: reuse.FUSpec(func(n *dag.Node) bool {
+						return int(n.Instr.Cluster) == k && member(n)
+					}),
 				})
 			}
 		}
 	}
 	for c := ir.Class(0); c < ir.NumClasses; c++ {
-		c := c
 		if !classUsed(g, c) {
 			continue
 		}
 		if nc == 1 {
 			rs = append(rs, Resource{
-				Name:       "reg." + c.String(),
-				Limit:      m.Regs[c],
-				IsRegister: true,
-				Class:      c,
-				Build:      func(g *dag.Graph) *reuse.Reuse { return reuse.Reg(g, c) },
+				Name:  "reg." + c.String(),
+				Limit: m.Regs[c],
+				Spec:  reuse.RegSpec(c),
 			})
 			continue
 		}
 		for k := 0; k < nc; k++ {
-			k := k
+			spec := reuse.RegSpec(c)
+			spec.Member = func(g *dag.Graph, n *dag.Node) bool {
+				return int(n.Instr.Cluster) == k && g.Func.ClassOf(n.Instr.Dst) == c
+			}
+			if k != 0 {
+				// Live-in values arrive in cluster 0's file (the clustered
+				// pipelines reject live-ins upstream, so this is a
+				// core-level convention, not a hot path).
+				spec.LiveIn = nil
+			}
 			rs = append(rs, Resource{
-				Name:       fmt.Sprintf("reg.%s.c%d", c, k),
-				Limit:      m.Regs[c],
-				IsRegister: true,
-				Class:      c,
-				Build: func(g *dag.Graph) *reuse.Reuse {
-					f := g.Func
-					var liveIn func(ir.VReg) bool
-					if k == 0 {
-						// Live-in values arrive in cluster 0's file (the
-						// clustered pipelines reject live-ins upstream, so
-						// this is a core-level convention, not a hot path).
-						liveIn = func(v ir.VReg) bool { return f.ClassOf(v) == c }
-					}
-					return reuse.Values(g, c, func(n *dag.Node) bool {
-						return int(n.Instr.Cluster) == k && f.ClassOf(n.Instr.Dst) == c
-					}, liveIn)
-				},
+				Name:  fmt.Sprintf("reg.%s.c%d", c, k),
+				Limit: m.Regs[c],
+				Spec:  spec,
 			})
 		}
 	}
 	if m.BufferDepth > 0 {
 		for _, cl := range m.FUClasses() {
-			cl := cl
 			name := "buf"
 			if !m.Homogeneous {
 				name = "buf." + cl.String()
 			}
 			rs = append(rs, Resource{
-				Name:       name,
-				Limit:      m.BufferCap(cl),
-				IsRegister: true,
-				IsBuffer:   true,
-				Build: func(g *dag.Graph) *reuse.Reuse {
-					// A buffer slot holds every non-live-out value its class
-					// produces — either register class — from issue until the
-					// worst-case kill reader issues; live-outs stream to the
-					// register file at writeback and hold no slot.
-					return reuse.Values(g, ir.ClassInt, func(n *dag.Node) bool {
+				Name:  name,
+				Limit: m.BufferCap(cl),
+				// A buffer slot holds every non-live-out value its class
+				// produces — either register class — from issue until the
+				// worst-case kill reader issues; live-outs stream to the
+				// register file at writeback and hold no slot.
+				Spec: reuse.Spec{Values: true, Class: ir.ClassInt,
+					Member: func(g *dag.Graph, n *dag.Node) bool {
 						return !g.LiveOut[n.Instr.Dst] && m.ClassFor(n.Instr.Kind()) == cl
-					}, nil)
-				},
+					}},
 			})
 		}
 	}
@@ -229,7 +214,7 @@ func Resources(g *dag.Graph, m *machine.Config) []Resource {
 		rs = append(rs, Resource{
 			Name:  "issue",
 			Limit: m.IssueWidth,
-			Build: func(g *dag.Graph) *reuse.Reuse { return reuse.FU(g, reuse.AllFUs) },
+			Spec:  reuse.FUSpec(reuse.AllFUs),
 		})
 	}
 	return rs
@@ -515,7 +500,7 @@ func runOnce(g *dag.Graph, opts Options, style scoreStyle, maxIters int) (*Repor
 func filterRes(rs []Resource, registers bool) []Resource {
 	var out []Resource
 	for _, r := range rs {
-		if r.IsRegister == registers {
+		if r.Spec.Values == registers {
 			out = append(out, r)
 		}
 	}
@@ -552,7 +537,7 @@ func (e *evaluator) collectCandidates(st *iterState, group []Resource) []scored 
 			targets = append(targets, sets[len(sets)-1])
 		}
 		for _, set := range targets {
-			if r.IsRegister {
+			if r.Spec.Values {
 				if !opts.DisableSequencing {
 					for _, c := range transform.RegSeqCandidates(g, reach, st.depths, res, set) {
 						out = append(out, scored{c, r.Name})

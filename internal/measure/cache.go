@@ -66,7 +66,8 @@ func NewCacheBudget(budget int64) *Cache {
 // Measure returns the measurement of the named resource on the graph,
 // reusing a cached result when the graph's fingerprint and resource match
 // a previous call. On a miss, build constructs the resource's reuse
-// structure (exactly core.Resource.Build) and the result is computed via
+// structure on g — equal to core.Resource.Build's, which the evaluator
+// derives from the closure it keeps — and the result is computed via
 // Measure and stored. Concurrent misses of one key run build once.
 func (c *Cache) Measure(g *dag.Graph, resource string, build func(*dag.Graph) *reuse.Reuse) *Result {
 	if c == nil {

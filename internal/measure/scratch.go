@@ -18,19 +18,19 @@ type DeltaScratch struct {
 // priorities choose which maximum matching Chains finds, never its size,
 // so scoring needs neither hammocks nor nesting levels.
 //
-// prev may warm-start the matching. The caller guarantees that when prev
-// covers the same item set, every pair of prev's decomposition is a pair
-// of r — true after sequencing edges leave the kill vector unchanged, since
-// reuse orders then only gain pairs (see reuse.Reuse.UpdateClosureInto).
-// Kuhn's augmentation reaches a maximum matching from any valid start, in
-// any edge order, so the width is the from-scratch width either way. With
-// prev nil or over a different item set, the matching runs cold.
+// prev, when non-nil, warm-starts the matching. The caller guarantees that
+// prev measures r's items and that every pair of prev's decomposition is a
+// pair of r — true when reuse.Builder.Build reports r's items and kills
+// equal to prev's after any candidate, since reachability among existing
+// nodes only grows and the order then only gains pairs. Kuhn's
+// augmentation reaches a maximum matching from any valid start, in any
+// edge order, so the width is the from-scratch width either way. With
+// prev nil the matching runs cold.
 func Width(prev *Result, r *reuse.Reuse, s *DeltaScratch) int {
-	n := r.NumItems()
 	m := &s.matcher
 	m.Reset(r.Rel)
-	if prev != nil && prev.R != nil && prev.R.NumItems() == n {
+	if prev != nil {
 		m.Seed(prev.Chains)
 	}
-	return n - m.Augment()
+	return r.NumItems() - m.Augment()
 }

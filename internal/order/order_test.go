@@ -248,3 +248,76 @@ func TestBitSetQuickOrIdempotent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRelationResizeKeepsPairs grows random relations across sizes — within
+// one word, onto a word boundary and across one — and copies them back and
+// forth between sizes on one reused target: Grow keeps every pair and adds
+// none, CopyFrom takes the source's size and pairs whatever the target held
+// before, and a target that has reached its largest size reuses its
+// storage.
+func TestRelationResizeKeepsPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	random := func(n int) *Relation {
+		r := NewRelation(n)
+		for k := 0; k < 3*n; k++ {
+			r.Add(rng.Intn(n), rng.Intn(n))
+		}
+		return r
+	}
+	same := func(a, b *Relation) bool {
+		if a.Size() != b.Size() || a.Pairs() != b.Pairs() {
+			return false
+		}
+		for i := 0; i < a.Size(); i++ {
+			if !a.Row(i).SubsetOf(b.Row(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	var dst Relation // one copy target across every size
+	for _, c := range [][2]int{{1, 2}, {10, 12}, {60, 64}, {62, 66}, {64, 65}, {63, 200}, {130, 131}} {
+		from, to := c[0], c[1]
+		r := random(from)
+		want := r.Clone()
+		dst.CopyFrom(r)
+		if !same(&dst, want) {
+			t.Fatalf("%d->%d: CopyFrom onto a %d-element target differs", from, to, dst.Size())
+		}
+		r.Grow(to)
+		if r.Size() != to || r.Pairs() != want.Pairs() {
+			t.Fatalf("%d->%d: Grow left %d elements and %d pairs, want %d and %d",
+				from, to, r.Size(), r.Pairs(), to, want.Pairs())
+		}
+		for a := 0; a < from; a++ {
+			for b := 0; b < from; b++ {
+				if r.Has(a, b) != want.Has(a, b) {
+					t.Fatalf("%d->%d: pair (%d,%d) is %v after Grow, want %v", from, to, a, b, r.Has(a, b), want.Has(a, b))
+				}
+			}
+		}
+		r.Add(to-1, 0)
+		r.Add(0, to-1)
+		dst.CopyFrom(r)
+		if !same(&dst, r) {
+			t.Fatalf("%d->%d: CopyFrom of the grown relation differs", from, to)
+		}
+		dst.CopyFrom(want)
+		if !same(&dst, want) {
+			t.Fatalf("%d->%d: CopyFrom back to %d elements differs", from, to, from)
+		}
+		dst.Reset(to)
+		if dst.Size() != to || dst.Pairs() != 0 {
+			t.Fatalf("%d->%d: Reset(%d) left %d elements and %d pairs", from, to, to, dst.Size(), dst.Pairs())
+		}
+	}
+	small, big := random(60), random(200)
+	if a := testing.AllocsPerRun(10, func() {
+		dst.CopyFrom(small)
+		dst.Grow(190)
+		dst.CopyFrom(big)
+		dst.Reset(70)
+	}); a != 0 {
+		t.Errorf("resizing within capacity allocates %v per run, want 0", a)
+	}
+}

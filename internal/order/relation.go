@@ -3,6 +3,7 @@ package order
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Relation is a binary relation over {0..n-1}, stored as one bitset of
@@ -13,7 +14,10 @@ import (
 // three allocations regardless of n, resetting it is one memclr, and
 // copying one relation into another of equal size is a single word copy —
 // the operations the candidate evaluator performs per tentative
-// transformation.
+// transformation. Reset, Grow and CopyFrom change the ground set's size in
+// place, reusing the slab while its capacity allows, so a relation that
+// alternates between sizes allocates only when it first outgrows its
+// storage. The zero value is an empty relation over no elements.
 type Relation struct {
 	rows []BitSet
 	slab []uint64
@@ -22,21 +26,47 @@ type Relation struct {
 
 // NewRelation returns an empty relation over n elements.
 func NewRelation(n int) *Relation {
-	w := bitWords(n)
-	r := &Relation{
-		rows: make([]BitSet, n),
-		slab: make([]uint64, n*w),
-		n:    n,
-	}
-	for i := range r.rows {
-		r.rows[i] = BitSet{words: r.slab[i*w : (i+1)*w : (i+1)*w], n: n}
-	}
+	r := new(Relation)
+	r.setSize(n)
 	return r
 }
 
-// Reset removes every pair, keeping the storage.
-func (r *Relation) Reset() {
+// setSize lays r out over n elements, reusing the slab and the row headers
+// while their capacity allows. The contents are unspecified afterwards.
+func (r *Relation) setSize(n int) {
+	w := bitWords(n)
+	r.slab = slices.Grow(r.slab[:0], n*w)[:n*w]
+	r.rows = slices.Grow(r.rows[:0], n)[:n]
+	for i := range r.rows {
+		r.rows[i] = BitSet{words: r.slab[i*w : (i+1)*w : (i+1)*w], n: n}
+	}
+	r.n = n
+}
+
+// Reset empties r and sets its ground set to {0..n-1}, keeping the
+// storage.
+func (r *Relation) Reset(n int) {
+	if n != r.n {
+		r.setSize(n)
+	}
 	clear(r.slab)
+}
+
+// Grow extends the ground set to {0..n-1}, n >= Size(), keeping every
+// pair; the new elements relate to nothing. Rows widen in place when a row
+// crosses a 64-element word boundary.
+func (r *Relation) Grow(n int) {
+	on, ow := r.n, bitWords(r.n)
+	old := r.slab // still holds the rows if setSize moves the slab
+	r.setSize(n)
+	w := bitWords(n)
+	// A row never moves down (w >= ow), so moving the last row first never
+	// overwrites a row that has yet to move.
+	for i := on - 1; i >= 0; i-- {
+		copy(r.slab[i*w:i*w+ow], old[i*ow:(i+1)*ow])
+		clear(r.slab[i*w+ow : (i+1)*w])
+	}
+	clear(r.slab[on*w:])
 }
 
 // Size returns the number of elements of the ground set.
@@ -52,7 +82,7 @@ func (r *Relation) Remove(a, b int) { r.rows[a].Clear(b) }
 func (r *Relation) Has(a, b int) bool { return r.rows[a].Has(b) }
 
 // Row returns the successor set of a. The result aliases internal storage
-// and must not be mutated by callers.
+// and must not be mutated by callers; it is valid until r's size changes.
 func (r *Relation) Row(a int) *BitSet { return &r.rows[a] }
 
 // Pairs returns the number of pairs in the relation.
@@ -71,14 +101,14 @@ func (r *Relation) Clone() *Relation {
 	return c
 }
 
-// CopyFrom overwrites r with the contents of o. Both relations must be over
-// ground sets of the same size. Reusing one preallocated relation as a
-// copy target is how the candidate evaluator resets its scratch closure
-// between tentative applications without reallocating; with both sides
-// slab-backed the copy is a single memmove.
+// CopyFrom overwrites r with the contents of o, taking o's size. Reusing
+// one relation as a copy target is how the candidate evaluator resets its
+// scratch closure between tentative applications — including after a
+// spill grew it — without reallocating; with both sides slab-backed the
+// copy is a single memmove.
 func (r *Relation) CopyFrom(o *Relation) {
 	if r.n != o.n {
-		panic(fmt.Sprintf("order: CopyFrom size mismatch: %d vs %d", r.n, o.n))
+		r.setSize(o.n)
 	}
 	copy(r.slab, o.slab)
 }
@@ -121,7 +151,7 @@ func (r *Relation) TransitiveClosure() *Relation {
 // Everything that reaches u, and u itself, now also reaches v and everything
 // v reaches: for every such row, OR in v's row and set v. O(n·n/64), versus
 // O(n²·n/64) for recomputing the closure — this is what makes tentative
-// sequencing candidates (which only add edges) cheap to remeasure.
+// candidates, whose closures only grow, cheap to remeasure.
 func (r *Relation) AddClosureEdge(u, v int) {
 	if u == v || r.Has(u, v) {
 		return

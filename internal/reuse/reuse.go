@@ -22,8 +22,6 @@ package reuse
 
 import (
 	"fmt"
-	"math/bits"
-	"sort"
 	"strings"
 	"sync"
 
@@ -53,13 +51,15 @@ type Reuse struct {
 	// Kill maps item index -> killer node id in the graph (register
 	// resources only; -1 means killed at the leaf / live-out).
 	Kill []int
-	// IsReg records whether this is a register-class structure (built by
-	// Reg, with Class the register class) rather than a functional-unit
-	// structure (built by FU). UpdateClosureInto needs the distinction: FU
-	// orders follow reachability directly, register orders go through kill
-	// selection.
+	// IsReg records whether this is a value structure (registers, buffers:
+	// orders go through kill selection, Class is the register class) rather
+	// than a functional-unit structure (orders follow reachability).
 	IsReg bool
 	Class ir.Class
+
+	// nodes and regs are the graph's node and register counts at build
+	// time: while a graph keeps them, its items are these.
+	nodes, regs int
 }
 
 // NumItems returns the number of resource-holding items.
@@ -70,85 +70,56 @@ func (r *Reuse) String() string {
 	return fmt.Sprintf("reuse{%d items, %d pairs}", len(r.Items), r.Rel.Pairs())
 }
 
+// A Spec selects one resource's items on a graph. A functional-unit spec
+// selects the instructions Member admits (pseudo nodes never). A value
+// spec (Values set) selects the region-defined values whose defining node
+// Member admits (called only for nodes with a destination) plus, when
+// LiveIn is non-nil, the used-but-region-undefined registers LiveIn
+// admits, produced at the root; Class tags the structure.
+type Spec struct {
+	Values bool
+	Class  ir.Class
+	Member func(g *dag.Graph, n *dag.Node) bool
+	LiveIn func(g *dag.Graph, v ir.VReg) bool
+}
+
+// FUSpec is the functional-unit spec of the instructions member selects.
+func FUSpec(member func(*dag.Node) bool) Spec {
+	return Spec{Member: func(_ *dag.Graph, n *dag.Node) bool { return member(n) }}
+}
+
+// RegSpec is the spec of the register class c: the values of that class,
+// region-defined and live-in.
+func RegSpec(c ir.Class) Spec {
+	return Spec{
+		Values: true,
+		Class:  c,
+		Member: func(g *dag.Graph, n *dag.Node) bool { return g.Func.ClassOf(n.Instr.Dst) == c },
+		LiveIn: func(g *dag.Graph, v ir.VReg) bool { return g.Func.ClassOf(v) == c },
+	}
+}
+
+// builders pools the storage behind the one-shot builds.
+var builders = sync.Pool{New: func() any { return new(Builder) }}
+
+// Build returns the spec's reuse structure on g, whose closure is reach and
+// node depths depth (read by value specs only), in storage of its own.
+func (s *Spec) Build(g *dag.Graph, reach *order.Relation, depth []int) *Reuse {
+	b := builders.Get().(*Builder)
+	defer builders.Put(b)
+	built, _ := b.Build(g, s, reach, depth, nil)
+	r := *built
+	// The result keeps the storage it was built in.
+	b.out, b.items, b.rel, b.kill = Reuse{}, nil, nil, nil
+	return &r
+}
+
 // FU builds the reuse structure for a functional-unit family: the instructions
 // selected by member (e.g. all instructions on a homogeneous machine, or
 // only the memory ops for a load/store unit).
 func FU(g *dag.Graph, member func(*dag.Node) bool) *Reuse {
-	r := &Reuse{Graph: g}
-	for _, n := range g.Nodes {
-		if n.IsPseudo() || !member(n) {
-			continue
-		}
-		r.Items = append(r.Items, Item{Node: n.ID})
-	}
-	r.Rel = order.NewRelation(len(r.Items))
-	fillRel(r.Rel, r.Items, nil, g.Reach(), nil)
-	return r
-}
-
-// itemIndex maps graph nodes to the items they produce, for deriving reuse
-// pairs a word at a time: mask holds the nodes that produce an item, and
-// item[v] is the item node v produces, or -1 when several do. Only the
-// root produces several (the live-in values), and the root is never
-// reached and never a kill, so no pair involves it through the index.
-type itemIndex struct {
-	mask []uint64
-	item []int32
-}
-
-// build indexes items over a graph of nn nodes, reusing the storage.
-func (ix *itemIndex) build(items []Item, nn int) {
-	ix.mask = grow(ix.mask, (nn+63)/64)
-	clear(ix.mask)
-	ix.item = grow(ix.item, nn)
-	for i, it := range items {
-		v, bit := it.Node, uint64(1)<<(it.Node&63)
-		if ix.mask[v>>6]&bit != 0 {
-			ix.item[v] = -1
-			continue
-		}
-		ix.mask[v>>6] |= bit
-		ix.item[v] = int32(i)
-	}
-}
-
-// indexes pools the item indexes of the one-shot builds (FU, Values).
-var indexes = sync.Pool{New: func() any { return new(itemIndex) }}
-
-// fillRel adds CanReuse_R's pairs over items to rel, derived from the node
-// reachability closure reach. For functional-unit items (kill nil), (a, b)
-// iff a's node reaches b's. For value items, (a, b) iff Kill(a) is b's
-// producer or reaches it; killed-at-leaf values (kill -1) relate to
-// nothing. Each item's pairs are the set bits of its node's closure row
-// under the item mask, read 64 nodes at a time. ix is the caller's
-// reusable index; nil borrows a pooled one.
-func fillRel(rel *order.Relation, items []Item, kill []int, reach *order.Relation, ix *itemIndex) {
-	if ix == nil {
-		ix = indexes.Get().(*itemIndex)
-		defer indexes.Put(ix)
-	}
-	ix.build(items, reach.Size())
-	for i, a := range items {
-		k := a.Node
-		if kill != nil {
-			k = kill[i]
-		}
-		if k < 0 {
-			continue
-		}
-		row := reach.Row(k).Words()
-		for w, mw := range ix.mask {
-			x := row[w]
-			if w == k>>6 {
-				x |= 1 << (k & 63) // k's own item; for FU items that is a
-			}
-			for x &= mw; x != 0; x &= x - 1 {
-				if j := int(ix.item[w<<6|bits.TrailingZeros64(x)]); j >= 0 && j != i {
-					rel.Add(i, j)
-				}
-			}
-		}
-	}
+	s := FUSpec(member)
+	return s.Build(g, g.Reach(), nil)
 }
 
 // AllFUs is the member predicate selecting every instruction: the paper's
@@ -166,10 +137,8 @@ func KindFUs(k ir.Kind) func(*dag.Node) bool {
 // the root, occupying a register from region entry until their kill).
 // Values in g.LiveOut are killed at the leaf and hence never reusable.
 func Reg(g *dag.Graph, c ir.Class) *Reuse {
-	f := g.Func
-	return Values(g, c,
-		func(n *dag.Node) bool { return f.ClassOf(n.Instr.Dst) == c },
-		func(v ir.VReg) bool { return f.ClassOf(v) == c })
+	s := RegSpec(c)
+	return s.Build(g, g.Reach(), g.Depths())
 }
 
 // Values builds the reuse structure for an arbitrary value-holding resource:
@@ -182,67 +151,13 @@ func Reg(g *dag.Graph, c ir.Class) *Reuse {
 // same worst-case kill-selection machinery — a buffer slot, like a
 // register, frees when the value's last (kill) reader issues, so
 // CanReuse_Reg's structure transfers unchanged. The class tag c labels the
-// structure for incremental updates; value sets spanning classes may pass
-// any class.
+// structure; value sets spanning classes may pass any class.
 func Values(g *dag.Graph, c ir.Class, include func(n *dag.Node) bool, liveIn func(v ir.VReg) bool) *Reuse {
-	r := &Reuse{Graph: g, IsReg: true, Class: c}
-
-	// Region-defined values. The defined set tracks every definition, not
-	// just the included ones: a region-defined value excluded by the filter
-	// must not come back as a live-in.
-	defined := make(map[ir.VReg]bool)
-	for _, n := range g.Nodes {
-		if n.Instr == nil || n.Instr.Dst == ir.NoReg {
-			continue
-		}
-		defined[n.Instr.Dst] = true
-		if !include(n) {
-			continue
-		}
-		r.Items = append(r.Items, Item{Node: n.ID, Reg: n.Instr.Dst})
-	}
-	// Live-in values: used but not defined in the region.
-	liveInSet := make(map[ir.VReg]bool)
+	s := Spec{Values: true, Class: c, Member: func(_ *dag.Graph, n *dag.Node) bool { return include(n) }}
 	if liveIn != nil {
-		for _, n := range g.Nodes {
-			if n.Instr == nil {
-				continue
-			}
-			for _, u := range n.Instr.Uses() {
-				if !defined[u] && liveIn(u) {
-					liveInSet[u] = true
-				}
-			}
-		}
+		s.LiveIn = func(_ *dag.Graph, v ir.VReg) bool { return liveIn(v) }
 	}
-	liveInRegs := make([]ir.VReg, 0, len(liveInSet))
-	for v := range liveInSet {
-		liveInRegs = append(liveInRegs, v)
-	}
-	sort.Slice(liveInRegs, func(i, j int) bool { return liveInRegs[i] < liveInRegs[j] })
-	for _, v := range liveInRegs {
-		r.Items = append(r.Items, Item{Node: g.Root, Reg: v})
-	}
-
-	reach := g.Reach()
-	r.Kill = SelectKills(g, r.Items, reach)
-	r.Rel = order.NewRelation(len(r.Items))
-	fillRel(r.Rel, r.Items, r.Kill, reach, nil)
-	return r
-}
-
-// SelectKills chooses, for every value item, the use node assumed to kill it
-// under the worst-case schedule. Candidates are the value's maximal uses
-// (uses with no other use of the same value downstream); live-out values and
-// values with no uses are killed at the leaf (-1). Kills are chosen by
-// greedy minimum cover — pick the node that kills the most still-unkilled
-// values — maximizing the number of dependents that can be simultaneously
-// live with their ancestors (paper §3.2). Ties prefer deeper nodes, then
-// lower node ids, keeping results deterministic.
-func SelectKills(g *dag.Graph, items []Item, reach *order.Relation) []int {
-	var ks KillScratch
-	ks.PrecomputeUses(g, items)
-	return SelectKillsInto(g, items, reach, g.Depths(), &ks)
+	return s.Build(g, g.Reach(), g.Depths())
 }
 
 // Dot renders the Reuse DAG (the transitive reduction of CanReuse, Def. 4,

@@ -76,9 +76,11 @@ func closureGraphs(t *testing.T) []*dag.Graph {
 
 // TestApplyKeepsClosure: every candidate the generators emit for the FU
 // and register excess sets of random and suite blocks goes through Apply
-// on a copy of the graph's closure. After a sequencing candidate the
-// relation Apply kept must equal both the graph's Reach and a depth-first
-// search; every application must leave a valid graph that Revert restores.
+// on one reused copy of the graph's closure, which a spill grows past the
+// graph's size and the next copy shrinks back. After every application,
+// sequencing and spill alike, the relation Apply kept must equal both the
+// graph's Reach and a depth-first search; every application must leave a
+// valid graph that Revert restores.
 func TestApplyKeepsClosure(t *testing.T) {
 	seqs, spills := 0, 0
 	for gi, g := range closureGraphs(t) {
@@ -108,14 +110,14 @@ func TestApplyKeepsClosure(t *testing.T) {
 						if err := g.Check(); err != nil {
 							t.Fatalf("graph %d %s: invalid after Apply: %v", gi, c, err)
 						}
+						if !sameRelation(reach, g.Reach()) {
+							t.Fatalf("graph %d %s: Apply's closure differs from Reach", gi, c)
+						}
+						if !sameRelation(reach, dfsReach(g)) {
+							t.Fatalf("graph %d %s: Apply's closure differs from a DFS", gi, c)
+						}
 						if c.SeqOnly() {
 							seqs++
-							if !sameRelation(reach, g.Reach()) {
-								t.Fatalf("graph %d %s: Apply's closure differs from Reach", gi, c)
-							}
-							if !sameRelation(reach, dfsReach(g)) {
-								t.Fatalf("graph %d %s: Apply's closure differs from a DFS", gi, c)
-							}
 						} else {
 							spills++
 						}

@@ -8,6 +8,7 @@ import (
 	"ursa/internal/check"
 	"ursa/internal/dag"
 	"ursa/internal/ir"
+	"ursa/internal/order"
 	"ursa/internal/target"
 	"ursa/internal/transform"
 )
@@ -36,6 +37,20 @@ func clusteredGraph(t *testing.T, name string) *dag.Graph {
 	return g
 }
 
+// samePairs reports whether a and b are over one ground set and hold the
+// same pairs.
+func samePairs(a, b *order.Relation) bool {
+	if a.Size() != b.Size() {
+		return false
+	}
+	for i := 0; i < a.Size(); i++ {
+		if !a.Row(i).SubsetOf(b.Row(i)) || !b.Row(i).SubsetOf(a.Row(i)) {
+			return false
+		}
+	}
+	return true
+}
+
 // adjacency snapshots every node's successor and predecessor sets (sorted:
 // Revert may re-add a removed edge at a different list position).
 func adjacency(g *dag.Graph) (succ, pred [][]int) {
@@ -50,7 +65,8 @@ func adjacency(g *dag.Graph) (succ, pred [][]int) {
 
 // TestCopySpillApplyLogRevert: on every inter-cluster copy of the committed
 // clustered cases, Apply through one reused log yields the same graph as
-// Apply on a clone, and Revert restores the fingerprint, the copy
+// Apply on a clone, the closure Apply keeps is the result's, and Revert
+// restores the fingerprint, the copy
 // instruction's Op/Args/Sym, and every node's successor and predecessor
 // set.
 func TestCopySpillApplyLogRevert(t *testing.T) {
@@ -75,8 +91,12 @@ func TestCopySpillApplyLogRevert(t *testing.T) {
 			before, nodes := g.Fingerprint(), g.NumNodes()
 			op, args, sym := in.Op, slices.Clone(in.Args), in.Sym
 			succ, pred := adjacency(g)
-			if err := cand.Apply(g, g.Reach(), &log); err != nil {
+			reach := g.Reach()
+			if err := cand.Apply(g, reach, &log); err != nil {
 				t.Fatalf("%s node %d: Apply: %v", name, n, err)
+			}
+			if !samePairs(reach, ref.Reach()) {
+				t.Errorf("%s node %d: the closure Apply kept differs from Reach of the result", name, n)
 			}
 			if in.Op != ir.SpillLoad {
 				t.Errorf("%s node %d: copy not rewritten into a reload (op %s)", name, n, in.Op)

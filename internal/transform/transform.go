@@ -186,13 +186,15 @@ func (u *UndoLog) reset(g *dag.Graph) {
 
 // Apply applies the candidate to g — sequencing edges, spill and
 // copy-spill payloads alike — and records every change in log (reset
-// first), so log.Revert undoes it. reach must be g's transitive closure.
+// first), so log.Revert undoes it. reach must be g's transitive closure,
+// and Apply keeps it so: afterwards it is the transformed graph's closure.
 // Each sequencing edge is tested against it — an edge whose head already
 // reaches its tail, or a self-edge, closes a cycle and refuses the
-// candidate — and added to it with AddClosureEdge, so after a
-// sequencing-only candidate reach is the transformed graph's closure. A
-// spill or copy-spill adds nodes the relation cannot hold: after one the
-// caller recomputes the closure.
+// candidate — and added to it with AddClosureEdge. A payload asks its
+// reachability questions of the closure before it; reach then grows over
+// the new nodes and takes the payload's added edges the same way. That is
+// exact: a payload removes only def->use and def->copy edges, each
+// replaced by a path through the new store and reload, so no pair is lost.
 //
 // A refused candidate returns an error with the application already
 // reverted: g and its Func are exactly as before, while reach may hold
@@ -218,20 +220,29 @@ func (c *Candidate) apply(g *dag.Graph, reach *order.Relation, log *UndoLog) err
 		log.addEdge(g, a, b, dag.EdgeSeq)
 		reach.AddClosureEdge(a, b)
 	}
+	if c.SeqOnly() {
+		return nil
+	}
+	seq := len(log.added)
 	if c.Spill != nil {
 		if err := applySpill(g, reach, c.Spill, log); err != nil {
 			return err
 		}
 	}
 	if c.CopySpill != nil {
-		return applyCopySpill(g, c.CopySpill, log)
+		if err := applyCopySpill(g, c.CopySpill, log); err != nil {
+			return err
+		}
+	}
+	reach.Grow(g.NumNodes())
+	for _, e := range log.added[seq:] {
+		reach.AddClosureEdge(e[0], e[1])
 	}
 	return nil
 }
 
 // SeqOnly reports whether the candidate is a pure sequentialization — it
-// only adds sequence edges, with no spill or copy-spill payload. Only such
-// candidates can be remeasured incrementally from a closure delta.
+// only adds sequence edges, with no spill or copy-spill payload.
 func (c *Candidate) SeqOnly() bool { return c.Spill == nil && c.CopySpill == nil }
 
 // Key returns a canonical identity for the transformation's effect: the
