@@ -10,7 +10,6 @@ import (
 
 	"ursa"
 	"ursa/internal/experiments"
-	"ursa/internal/measure"
 	"ursa/internal/workload"
 )
 
@@ -138,27 +137,9 @@ func BenchmarkSuiteCompileJ1(b *testing.B) { benchSuiteCompile(b, 1) }
 func BenchmarkSuiteCompileJ4(b *testing.B) { benchSuiteCompile(b, 4) }
 func BenchmarkSuiteCompileJ8(b *testing.B) { benchSuiteCompile(b, 8) }
 
-// BenchmarkMicroAllocateCached isolates the measurement cache: URSA
-// allocation of a register-pressured block with a cache kept warm across
-// iterations. Compare with BenchmarkMicroAllocateUncached (a fresh cache
-// every run, the default).
-func BenchmarkMicroAllocateCached(b *testing.B) {
-	f := workload.LayeredBlock(8, 3)
-	m := ursa.VLIW(4, 4)
-	cache := measure.NewCache()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g, err := ursa.BuildDAG(f.Blocks[0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ursa.AllocateOpts(g, m, ursa.AllocOptions{Cache: cache}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMicroAllocateUncached(b *testing.B) {
+// BenchmarkMicroAllocateLayered times URSA allocation of a
+// register-pressured block: every retry style, reduced to the machine.
+func BenchmarkMicroAllocateLayered(b *testing.B) {
 	f := workload.LayeredBlock(8, 3)
 	m := ursa.VLIW(4, 4)
 	b.ReportAllocs()

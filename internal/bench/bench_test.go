@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ursa/internal/core"
-	"ursa/internal/measure"
 )
 
 // BenchmarkPickBest times one candidate-evaluation round on the large
@@ -91,7 +90,7 @@ func TestModesAgree(t *testing.T) {
 // candidates to score — an empty round would benchmark nothing.
 func TestScoreCandidatesFindsWork(t *testing.T) {
 	g, m := pickBestGraph()
-	scores, err := core.ScoreCandidates(g, core.Options{Machine: m, Cache: measure.NewCache()})
+	scores, err := core.ScoreCandidates(g, core.Options{Machine: m})
 	if err != nil {
 		t.Fatal(err)
 	}

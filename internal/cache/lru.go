@@ -1,8 +1,8 @@
 // Package cache holds the two algorithms every memoizing layer of the
 // compiler shares: a byte-budget least-recently-used map (LRU) and a
 // single-flight group that coalesces concurrent work for one key
-// (Flight). The measurement cache, the artifact store's memory and disk
-// tiers, and the cluster router are all built on them.
+// (Flight). The artifact store's memory and disk tiers and the cluster
+// router are built on them.
 package cache
 
 // LRU is a map bounded by a byte budget that evicts least recently used

@@ -4,16 +4,15 @@
 // in front of the fleet (cmd/ursagw, or any Go program mounting
 // Router.Handler) forwards each request to the shard that owns its key.
 //
-// The point of key-affine routing is that the expensive state — the
-// artifact cache and the measurement cache — is per-daemon: when every
-// request for a key lands on the same shard, each key is compiled once
-// cluster-wide and every repeat is a memory-tier hit, without any
-// coordination between the shards themselves. The ring keeps that
-// placement stable under membership change (a node joining or leaving
-// moves only ~1/N of the keys), health probes eject dead shards and
-// readmit them with backoff, load-aware spillover shifts keys off a
-// shard whose admission queue is deep, and a hedged fallback races the
-// fleet's peer cache tier against a slow owner for tail latency.
+// The point of key-affine routing is that the expensive state, the artifact
+// cache, is per-daemon: when every request for a key lands on the same
+// shard, each key is compiled once cluster-wide and every repeat is a
+// memory-tier hit, without any coordination between the shards themselves.
+// The ring keeps that placement stable under membership change (a node
+// joining or leaving moves only ~1/N of the keys), health probes eject dead
+// shards and readmit them with backoff, load-aware spillover shifts keys
+// off a shard whose admission queue is deep, and a hedged fallback races
+// the fleet's peer cache tier against a slow owner for tail latency.
 //
 // See docs/CLUSTER.md for topology, policy, and the metrics table.
 package cluster

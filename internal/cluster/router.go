@@ -589,7 +589,7 @@ func hedgeUpstream(name, key string, art *store.Artifact) (*upstream, error) {
 			URSATransforms: art.Stats.URSATransforms,
 			URSAFits:       art.Stats.URSAFits,
 		},
-		Cache: server.CacheDelta{Result: store.TierPeer.String(), Key: key},
+		Cache: server.CacheJSON{Result: store.TierPeer.String(), Key: key},
 	}
 	for _, b := range art.Blocks {
 		resp.Blocks = append(resp.Blocks, server.BlockListing{Label: b.Label, Listing: b.Listing})
@@ -645,7 +645,6 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	// sub-batches concurrently, and merge results back in submission
 	// order. A shard lost mid-batch ejects and its sub-batch re-shards
 	// over the survivors, so a batch outlives any single backend.
-	var agg server.CacheDelta
 	for attempt := 0; len(pending) > 0 && attempt <= len(r.names); attempt++ {
 		groups := make(map[*backend][]int)
 		for _, i := range pending {
@@ -704,8 +703,6 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 				for j, i := range out.idx {
 					results[i] = out.resp.Results[j]
 				}
-				agg.Hits += out.resp.Cache.Hits
-				agg.Misses += out.resp.Cache.Misses
 			default:
 				// Some other upstream failure (timeout, 5xx): surface it
 				// per-job rather than failing jobs routed elsewhere.
@@ -732,7 +729,6 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	resp := server.BatchResponse{
 		Results:   results,
 		Errors:    nerr,
-		Cache:     agg,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 	}
 	r.writeJSON(w, http.StatusOK, &resp)

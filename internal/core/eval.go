@@ -52,22 +52,22 @@ type iterState struct {
 // take its width, and revert. The winner is applied to the committed graph
 // and its closure through the same Apply.
 // A score needs only widths, and a width is the item count less a maximum
-// matching, so candidates never go through the measurement cache, the
-// fingerprint, the hammocks or the nesting levels: measure.Width is the one
-// scoring primitive. It is warm-started from the committed measurement
-// when the builder reports the resource's items and kills unchanged —
-// reachability among existing nodes only grows under any candidate, so the
-// order then only gained pairs — and runs cold otherwise. Per-cluster
-// register files and exposed-datapath buffers are ordinary reuse item
-// sets, so they take the same path. In steady state an evaluation
-// allocates nothing beyond the instructions and registers a payload's
-// Apply creates: graphs, closures, relations, matchers, and analysis
-// buffers all reset in place across candidates and across reduction
-// iterations (TestSeqEvalAllocatesNothing, TestSpillEvalAllocatesOnlyApply).
+// matching, so candidates never go through the hammocks or the nesting
+// levels: measure.Width is the one scoring primitive. It is warm-started
+// from the committed measurement when the builder reports the resource's
+// items and kills unchanged — reachability among existing nodes only grows
+// under any candidate, so the order then only gained pairs — and runs cold
+// otherwise. Per-cluster register files and exposed-datapath buffers are
+// ordinary reuse item sets, so they take the same path. In steady state an
+// evaluation allocates nothing beyond the instructions and registers a
+// payload's Apply creates: graphs, closures, relations, matchers, and
+// analysis buffers all reset in place across candidates and across
+// reduction iterations (TestSeqEvalAllocatesNothing,
+// TestSpillEvalAllocatesOnlyApply).
 //
 // Only the committed graph is measured in full (prioritized chains, for the
-// excess sets), through Options.Cache: it serves the repeats across a Run's
-// attempts and, in ursad, across requests.
+// excess sets), once per generation, from the closure, depths and hammocks
+// the generation's state already holds.
 //
 // Every score equals the from-scratch definition — clone, apply, measure
 // every resource, take the critical path — because a maximum matching is a
@@ -153,8 +153,8 @@ func newEvaluator(g *dag.Graph, resources []Resource, lat func(*dag.Node) int, o
 // state returns the committed iteration state for the current generation,
 // computing it at most once per generation. Called only from the goroutine
 // driving the evaluator; candidate workers receive the result as an
-// argument. A measurement the cache misses is built from the committed
-// closure and depths.
+// argument. Every resource is built from the committed closure and depths
+// and prioritized by the nesting levels of the generation's hammocks.
 func (e *evaluator) state() *iterState {
 	if e.st != nil {
 		return e.st
@@ -162,10 +162,9 @@ func (e *evaluator) state() *iterState {
 	st := &iterState{results: make(map[string]*measure.Result, len(e.resources))}
 	st.hammocks = e.g.Hammocks()
 	st.depths = e.g.DepthsInto(&e.topo)
+	levels := e.g.NestLevels(st.hammocks)
 	for _, r := range e.resources {
-		res := e.opts.Cache.Measure(e.g, r.Name, func(g *dag.Graph) *reuse.Reuse {
-			return r.Spec.Build(g, e.reach, st.depths)
-		})
+		res := measure.Chains(r.Spec.Build(e.g, e.reach, st.depths), levels)
 		st.results[r.Name] = res
 		if d := res.Width - r.Limit; d > 0 {
 			st.excess += d

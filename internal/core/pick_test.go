@@ -7,7 +7,6 @@ import (
 
 	"ursa/internal/dag"
 	"ursa/internal/machine"
-	"ursa/internal/measure"
 	"ursa/internal/transform"
 )
 
@@ -122,8 +121,7 @@ func TestPlateauMovesAreSpillsAndBounded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := runOnce(g, Options{Machine: m, Cache: measure.NewCache(),
-					DisableSequencing: noSeq}, styleDefault, iterBound(g))
+				rep, err := runOnce(g, Options{Machine: m, DisableSequencing: noSeq}, styleDefault, iterBound(g))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -157,8 +155,7 @@ func TestPlateauMovesAreSpillsAndBounded(t *testing.T) {
 // evaluator caps its pool at GOMAXPROCS, so the test forces it to 4: on a
 // one-CPU host the -j 4/-j 8 variants would otherwise evaluate inline. Run
 // under -race this also sweeps the candidate fan-out — per-worker scratch
-// arenas, the shared iteration state, and the measurement cache's flight
-// coalescing — for data races.
+// arenas and the shared iteration state — for data races.
 func TestStyleDeterminismAcrossWorkers(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -184,7 +181,6 @@ func TestStyleDeterminismAcrossWorkers(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					opts.Cache = measure.NewCache()
 					rep, err := runOnce(g, opts, style, iterBound(g))
 					if err != nil {
 						t.Fatalf("trial %d %s style %d variant %d: %v", trial, m.Name, style, vi, err)

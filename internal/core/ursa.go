@@ -66,16 +66,6 @@ type Options struct {
 	DisableSpills bool
 	// DisableSequencing restricts register reduction to spills.
 	DisableSequencing bool
-	// Cache, when non-nil, memoizes the measurements of committed graph
-	// states across the run's baseline and retry attempts (and, if the
-	// caller shares one, across runs). Candidates are scored by width
-	// alone and never consult it. Widths are independent of the
-	// machine's limits, so a shared cache is sound across register-file and
-	// FU-count sweeps; it must not be shared between machines that map the
-	// same resource name onto different instruction sets. When nil, Run
-	// creates a private cache for its attempts, and ScoreCandidates, which
-	// measures one committed state, measures it directly.
-	Cache *measure.Cache
 	// Workers bounds the concurrent candidate evaluations per reduction
 	// iteration (driver semantics: zero or negative means GOMAXPROCS, one
 	// evaluates inline). Results are bit-identical across worker counts —
@@ -304,12 +294,6 @@ func Run(g *dag.Graph, opts Options) (*Report, error) {
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.Cache == nil {
-		// One cache across the baseline and every retry style: they all
-		// start from clones of the same graph and re-measure overlapping
-		// transformed states.
-		opts.Cache = measure.NewCache()
 	}
 	styles := []scoreStyle{styleDefault, styleAggressive}
 	if !opts.DisableSpills {

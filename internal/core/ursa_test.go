@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ursa/internal/dag"
 	"ursa/internal/ir"
 	"ursa/internal/machine"
+	"ursa/internal/workload"
 )
 
 const paperSrc = `
@@ -169,6 +171,32 @@ func TestRunRejectsBadMachine(t *testing.T) {
 	bad2.Regs[ir.ClassInt] = 0
 	if _, err := Run(g, Options{Machine: bad2}); err == nil {
 		t.Error("0-register machine accepted")
+	}
+}
+
+// TestInitialWidthsAcrossLimits: widths are a property of the DAG alone,
+// so a register sweep measures the same initial widths on every machine,
+// while each report carries its own machine's limits.
+func TestInitialWidthsAcrossLimits(t *testing.T) {
+	var initial []map[string]int
+	for _, regs := range []int{4, 6, 12} {
+		g, err := dag.Build(workload.LayeredBlock(6, 3).Blocks[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(g, Options{Machine: machine.VLIW(4, regs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		initial = append(initial, rep.InitialWidths)
+		if rep.Limits["reg.int"] != regs {
+			t.Fatalf("limits not per-machine: %v", rep.Limits)
+		}
+	}
+	for i := 1; i < len(initial); i++ {
+		if !reflect.DeepEqual(initial[i], initial[0]) {
+			t.Fatalf("initial widths differ across the sweep: %v vs %v", initial[i], initial[0])
+		}
 	}
 }
 

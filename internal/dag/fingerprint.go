@@ -18,9 +18,10 @@ import (
 // are deliberately excluded: data, memory and sequencing edges constrain
 // scheduling the same way, so they do not affect measurement.
 //
-// The hash is the incremental measurement cache's key (see
-// internal/measure.Cache). It is recomputed on every call — the graph is
-// mutable and memoizing would need invalidation hooks in every transform.
+// The delta oracle (internal/check) compares fingerprints taken before
+// and after a refused or reverted Apply to prove the graph was left
+// unchanged. It is recomputed on every call — the graph is mutable and
+// memoizing would need invalidation hooks in every transform.
 func (g *Graph) Fingerprint() [sha256.Size]byte {
 	h := sha256.New()
 	var buf [8]byte

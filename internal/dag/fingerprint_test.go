@@ -75,8 +75,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-// TestFingerprintPinned: the hash of fpGraph. The bytes hashed are the
-// measurement cache's key material, so a change here moves every key.
+// TestFingerprintPinned: the hash of fpGraph, so a change to the bytes
+// hashed shows up here.
 func TestFingerprintPinned(t *testing.T) {
 	_, g := fpGraph(t)
 	fp := g.Fingerprint()

@@ -139,22 +139,38 @@ func FindExcess(res *Result, hammocks []*dag.Hammock, limit int) []*ExcessSet {
 func excessInHammock(res *Result, h *dag.Hammock, limit int) *ExcessSet {
 	r := res.R
 	// Project each chain onto the hammock interior (excluding the hammock's
-	// own entry/exit pseudo endpoints when they are root/leaf).
-	var proj []order.Chain
+	// own entry/exit pseudo endpoints when they are root/leaf). Count the
+	// non-empty projections first: a hammock within the limit allocates
+	// nothing.
+	nproj, nitems := 0, 0
 	for _, c := range res.Chains {
-		var sub order.Chain
+		k := 0
 		for _, it := range c {
-			n := r.Items[it].Node
-			if h.Contains(n) {
-				sub = append(sub, it)
+			if h.Contains(r.Items[it].Node) {
+				k++
 			}
 		}
-		if len(sub) > 0 {
-			proj = append(proj, sub)
+		if k > 0 {
+			nproj++
+			nitems += k
 		}
 	}
-	if len(proj) <= limit {
+	if nproj <= limit {
 		return nil
+	}
+	// The projections are capped subslices of one buffer.
+	buf := make([]int, 0, nitems)
+	proj := make([]order.Chain, 0, nproj)
+	for _, c := range res.Chains {
+		start := len(buf)
+		for _, it := range c {
+			if h.Contains(r.Items[it].Node) {
+				buf = append(buf, it)
+			}
+		}
+		if end := len(buf); end > start {
+			proj = append(proj, buf[start:end:end])
+		}
 	}
 
 	// Independence is judged in the resource's own partial order (Def. 6):
@@ -199,11 +215,9 @@ func excessInHammock(res *Result, h *dag.Hammock, limit int) *ExcessSet {
 				}
 				ti, tj := proj[i][len(proj[i])-1], proj[j][len(proj[j])-1]
 				if rel.Comparable(ti, tj) {
-					vic := i // remove the later (descendant) tail
+					vic := j // remove the later (descendant) tail
 					if rel.Has(tj, ti) {
 						vic = i
-					} else {
-						vic = j
 					}
 					proj[vic] = proj[vic][:len(proj[vic])-1]
 					if len(proj[vic]) == 0 {

@@ -123,6 +123,10 @@ func TestNoExcessWhenEnoughResources(t *testing.T) {
 	if sets := FindExcess(res, hs, 11); len(sets) != 0 {
 		t.Errorf("limit 11 produced %d excessive sets", len(sets))
 	}
+	// Hammocks within the limit are counted, not projected.
+	if n := testing.AllocsPerRun(10, func() { FindExcess(res, hs, 4) }); n != 0 {
+		t.Errorf("FindExcess within the limit allocated %.0f times; want 0", n)
+	}
 }
 
 func TestExcessRegLimits(t *testing.T) {
@@ -137,6 +141,38 @@ func TestExcessRegLimits(t *testing.T) {
 	}
 	if sets := FindExcess(res, hs, 5); len(sets) != 0 {
 		t.Errorf("limit 5: unexpected excess")
+	}
+}
+
+// TestExcessChainsAreIndependent: the chains of an excessive set share
+// one buffer, so appending to one of them must leave the others intact.
+func TestExcessChainsAreIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sets := 0
+	for trial := 0; trial < 80; trial++ {
+		g, err := dag.Build(randomBlock(rng, 6+rng.Intn(12)).Blocks[0])
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		hs := g.Hammocks()
+		for _, r := range []*reuse.Reuse{reuse.FU(g, reuse.AllFUs), reuse.Reg(g, ir.ClassInt)} {
+			res := Measure(r)
+			for limit := 1; limit < res.Width; limit++ {
+				for _, set := range FindExcess(res, hs, limit) {
+					sets++
+					want := fmt.Sprint(set.Chains)
+					for _, c := range set.Chains {
+						_ = append(c, -1)
+					}
+					if got := fmt.Sprint(set.Chains); got != want {
+						t.Fatalf("trial %d limit %d: appending changed the chains to %s, want %s", trial, limit, got, want)
+					}
+				}
+			}
+		}
+	}
+	if sets == 0 {
+		t.Fatal("no excessive set found")
 	}
 }
 

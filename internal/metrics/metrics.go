@@ -256,8 +256,9 @@ func (g *Gauge) write(w io.Writer, name, help string) {
 // ------------------------------------------------------------------- func
 
 // funcMetric evaluates a callback at scrape time — for values owned by
-// another subsystem (measure.Cache statistics) that would be racy or
-// redundant to mirror into registry state.
+// another subsystem (artifact cache tier statistics, the core loop's
+// evaluation counters) that would be racy or redundant to mirror into
+// registry state.
 type funcMetric struct {
 	typ string
 	fn  func() float64

@@ -26,8 +26,7 @@ import (
 // ablation switches).
 //
 // Excluded: worker counts and contexts (the emitted program is
-// byte-identical at every parallelism by construction), trace sinks, and
-// the measurement cache handle (pure memoization).
+// byte-identical at every parallelism by construction) and trace sinks.
 func CacheKey(f *ir.Func, m *machine.Config, method Method, opts Options) string {
 	h := sha256.New()
 	var buf [8]byte

@@ -283,16 +283,11 @@ func memCells(st *ir.State) []MemCell {
 	return cells
 }
 
-// CacheDelta is the cache activity attributed to one request: the shared
-// measurement cache's hits and misses observed between request start and
-// finish, plus — when the artifact cache is enabled — which tier served
-// the compile result ("memory", "disk", "peer", "coalesced", or
-// "compiled" when every tier missed) and a per-tier totals snapshot.
-// Under concurrent requests the measurement attribution is approximate
-// (the counters are process-wide), but the sum across requests is exact.
-type CacheDelta struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
+// CacheJSON reports how the artifact cache served one request, when it is
+// enabled: which tier served the compile result ("memory", "disk",
+// "peer", "coalesced", or "compiled" when every tier missed) and a
+// per-tier totals snapshot.
+type CacheJSON struct {
 	Result string `json:"result,omitempty"`
 	// Key is the canonical compile-result cache key (pipeline.CacheKey)
 	// when the artifact cache is enabled — the handle for
@@ -345,7 +340,7 @@ type CompileResponse struct {
 	Gap       *GapJSON       `json:"gap,omitempty"`
 	Loops     []LoopJSON     `json:"loops,omitempty"`
 	Run       *RunJSON       `json:"run,omitempty"`
-	Cache     CacheDelta     `json:"cache"`
+	Cache     CacheJSON      `json:"cache"`
 	ElapsedMS float64        `json:"elapsed_ms"`
 }
 
@@ -368,7 +363,6 @@ type BatchResult struct {
 type BatchResponse struct {
 	Results   []BatchResult `json:"results"`
 	Errors    int           `json:"errors"`
-	Cache     CacheDelta    `json:"cache"`
 	ElapsedMS float64       `json:"elapsed_ms"`
 }
 
@@ -393,25 +387,12 @@ type MachineJSON struct {
 	Summary     string `json:"summary"`
 }
 
-// MeasureCacheJSON snapshots the process-wide measurement cache for
-// /healthz, so an operator can see warm/cold state without scraping
-// /metrics.
-type MeasureCacheJSON struct {
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Coalesced uint64 `json:"coalesced"`
-}
-
 // HealthJSON is GET /healthz's body. ArtifactCache is present only when
 // the artifact cache is enabled.
 type HealthJSON struct {
-	Status        string            `json:"status"`
-	Draining      bool              `json:"draining"`
-	InFlight      int64             `json:"in_flight"`
-	Queued        int64             `json:"queued"`
-	MeasureCache  *MeasureCacheJSON `json:"measure_cache,omitempty"`
-	ArtifactCache *store.TierStats  `json:"artifact_cache,omitempty"`
+	Status        string           `json:"status"`
+	Draining      bool             `json:"draining"`
+	InFlight      int64            `json:"in_flight"`
+	Queued        int64            `json:"queued"`
+	ArtifactCache *store.TierStats `json:"artifact_cache,omitempty"`
 }

@@ -81,18 +81,12 @@ func (s *Server) artifactStats() *store.TierStats {
 	return &st
 }
 
-// registerCacheMetrics exposes every tier's counters. The memory and
+// registerCacheMetrics exposes every artifact tier's counters. The memory and
 // flight series always exist when the cache is on; disk and peer series
 // are registered only when those tiers are configured, so a scrape shows
 // exactly the deployed topology.
 func (s *Server) registerCacheMetrics() {
 	r := s.reg
-	r.Func("ursa_measure_cache_evictions_total", "measurement cache entries evicted by the byte budget", "counter", func() float64 {
-		return float64(s.cache.Evictions())
-	})
-	r.Func("ursa_measure_cache_coalesced_total", "measurement cache misses coalesced onto a concurrent build", "counter", func() float64 {
-		return float64(s.cache.Coalesced())
-	})
 	if s.artifacts == nil {
 		return
 	}

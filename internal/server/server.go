@@ -3,10 +3,11 @@
 // compile-as-a-service daemon.
 //
 // The server exists to amortize the allocator's combinatorial cost across
-// requests: a process-wide measure.Cache is shared by every compile, so
+// requests: with the tiered artifact cache configured (Config.Artifacts),
 // repeated workloads (the common case for a service fronting a test farm
-// or a JIT tier) skip the O(N³) matching entirely. Around that sits the
-// operational shell a service needs:
+// or a JIT tier) are served from memory, disk or a peer without running
+// the allocator again. Around that sits the operational shell a service
+// needs:
 //
 //   - Bounded admission: at most MaxConcurrent requests compile at once;
 //     up to QueueDepth more wait; beyond that the server sheds load with
@@ -18,8 +19,8 @@
 //   - Failure isolation: a panic anywhere in a request is converted to a
 //     driver.PanicError and a 500, never a process crash.
 //   - Observability: every interesting internal — request latency, queue
-//     depth, sheds, compile outcomes by pipeline method, cache hit rates
-//     and size — is a Prometheus series on GET /metrics.
+//     depth, sheds, compile outcomes by pipeline method, artifact cache
+//     hit rates and size — is a Prometheus series on GET /metrics.
 //
 // Endpoints: POST /v1/compile, POST /v1/batch, GET /v1/machines,
 // GET /healthz, GET /metrics. See docs/SERVER.md for the wire schema.
@@ -42,7 +43,6 @@ import (
 	"ursa/internal/exact"
 	"ursa/internal/ir"
 	"ursa/internal/machine"
-	"ursa/internal/measure"
 	"ursa/internal/metrics"
 	"ursa/internal/modsched"
 	"ursa/internal/pipeline"
@@ -68,9 +68,6 @@ type Config struct {
 	// DrainTimeout bounds the graceful shutdown: how long Serve waits for
 	// in-flight requests after its context is cancelled. Zero means 30s.
 	DrainTimeout time.Duration
-	// Cache is the measurement cache shared by every request. Nil means a
-	// fresh process-wide cache.
-	Cache *measure.Cache
 	// Artifacts is the tiered compile-result cache (memory → disk → peer).
 	// Nil disables artifact caching: every compile runs the allocator and
 	// /v1/cache answers 404.
@@ -92,7 +89,6 @@ type Config struct {
 // concurrent use by any number of connections.
 type Server struct {
 	cfg       Config
-	cache     *measure.Cache
 	artifacts *store.TieredCache
 	reg       *metrics.Registry
 	mux       *http.ServeMux
@@ -139,15 +135,11 @@ func New(cfg Config) *Server {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
-	if cfg.Cache == nil {
-		cfg.Cache = measure.NewCache()
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
 	}
 	s := &Server{
 		cfg:       cfg,
-		cache:     cfg.Cache,
 		artifacts: cfg.Artifacts,
 		reg:       cfg.Registry,
 		slots:     make(chan struct{}, cfg.MaxConcurrent),
@@ -167,22 +159,6 @@ func New(cfg Config) *Server {
 	s.mGap = r.HistogramVec("ursa_heuristic_gap", "heuristic distance from the exact solver's proven optimum, by dimension (words, intregs, fpregs); observed on gap-enabled compiles", "dimension", metrics.GapBuckets)
 	s.mLoopII = r.Histogram("ursa_loop_ii", "achieved initiation interval (steady-state cycles per iteration) of software-pipelined loops", metrics.IIBuckets)
 	s.mLoopMII = r.Histogram("ursa_loop_mii", "minimum initiation interval lower bound max(resMII, recMII) of software-pipelined loops", metrics.IIBuckets)
-	r.Func("ursad_cache_hits_total", "measurement cache hits", "counter", func() float64 {
-		h, _ := s.cache.Stats()
-		return float64(h)
-	})
-	r.Func("ursad_cache_misses_total", "measurement cache misses", "counter", func() float64 {
-		_, m := s.cache.Stats()
-		return float64(m)
-	})
-	r.Func("ursad_cache_entries", "measurement cache entries", "gauge", func() float64 {
-		n, _ := s.cache.Entries()
-		return float64(n)
-	})
-	r.Func("ursad_cache_bytes", "approximate bytes retained by the measurement cache", "gauge", func() float64 {
-		_, b := s.cache.Entries()
-		return float64(b)
-	})
 	r.Func("ursa_candidate_evals_total", "reduction candidates evaluated by the core loop", "counter", func() float64 {
 		return float64(metrics.CandidateEvals())
 	})
@@ -221,9 +197,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
-
-// Cache returns the shared measurement cache.
-func (s *Server) Cache() *measure.Cache { return s.cache }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
@@ -395,7 +368,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Draining:      s.draining.Load(),
 		InFlight:      s.inflight.Load(),
 		Queued:        s.queued.Load(),
-		MeasureCache:  s.measureCacheJSON(),
 		ArtifactCache: s.artifactStats(),
 	}
 	code := http.StatusOK
@@ -481,18 +453,15 @@ func (s *Server) shed(w http.ResponseWriter) {
 }
 
 // compileOne is POST /v1/compile's body: compile's response wrapped in
-// the per-request envelope — elapsed time, the measurement-cache delta,
-// and the artifact-tier totals. Those vary with concurrency, so batch
-// results carry compile's response without them.
+// the per-request envelope — elapsed time and the artifact-tier totals.
+// Those vary with concurrency, so batch results carry compile's response
+// without them.
 func (s *Server) compileOne(ctx context.Context, cr *CompileRequest) (*CompileResponse, error) {
 	start := time.Now()
-	hits0, misses0 := s.cache.Stats()
 	resp, err := s.compile(ctx, cr)
 	if err != nil {
 		return nil, err
 	}
-	hits1, misses1 := s.cache.Stats()
-	resp.Cache.Hits, resp.Cache.Misses = hits1-hits0, misses1-misses0
 	if s.artifacts != nil {
 		resp.Cache.Artifacts = s.artifactStats()
 	}
@@ -518,7 +487,6 @@ func (s *Server) compile(ctx context.Context, cr *CompileRequest) (*CompileRespo
 	}
 
 	opts := pipeline.Options{Optimize: cr.Optimize, Workers: cr.Workers, Ctx: ctx}
-	opts.Core.Cache = s.cache
 	if !cr.Run {
 		// Execution needs the in-memory program; cached artifacts hold
 		// listings only, so run requests always compile.
@@ -659,20 +627,6 @@ func artifactListings(a *store.Artifact) []BlockListing {
 	return out
 }
 
-// measureCacheJSON snapshots the measurement cache for /healthz.
-func (s *Server) measureCacheJSON() *MeasureCacheJSON {
-	hits, misses := s.cache.Stats()
-	entries, bytes := s.cache.Entries()
-	return &MeasureCacheJSON{
-		Entries:   entries,
-		Bytes:     bytes,
-		Hits:      hits,
-		Misses:    misses,
-		Evictions: s.cache.Evictions(),
-		Coalesced: s.cache.Coalesced(),
-	}
-}
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -720,8 +674,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // envelope; one failed job never skips the rest.
 func (s *Server) runBatch(ctx context.Context, br *BatchRequest) (*BatchResponse, error) {
 	start := time.Now()
-	hits0, misses0 := s.cache.Stats()
-
 	resps, errs, _ := driver.Map(len(br.Jobs), func(i int) (*CompileResponse, error) {
 		return s.compile(ctx, &br.Jobs[i])
 	}, driver.Options{Workers: br.Workers, Ctx: ctx, KeepGoing: true})
@@ -738,11 +690,9 @@ func (s *Server) runBatch(ctx context.Context, br *BatchRequest) (*BatchResponse
 		}
 		results[i].CompileResponse = resps[i]
 	}
-	hits1, misses1 := s.cache.Stats()
 	return &BatchResponse{
 		Results:   results,
 		Errors:    nerr,
-		Cache:     CacheDelta{Hits: hits1 - hits0, Misses: misses1 - misses0},
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 	}, nil
 }

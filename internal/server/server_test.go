@@ -275,14 +275,18 @@ func TestBatchCancelledCompilesNothing(t *testing.T) {
 	if code := errorStatus(err); code != http.StatusGatewayTimeout {
 		t.Errorf("status %d, want 504", code)
 	}
-	if hits, misses := s.cache.Stats(); hits+misses != 0 {
-		t.Errorf("cancelled batch measured %d blocks", hits+misses)
+	var scrape strings.Builder
+	s.Registry().WritePrometheus(&scrape)
+	for _, series := range []string{"ursad_compile_total{", "ursad_compile_errors_total{"} {
+		if strings.Contains(scrape.String(), series) {
+			t.Errorf("cancelled batch reached the compiler: %s present", series)
+		}
 	}
 }
 
 // TestShedWith429: with a full admission queue the server sheds load with
-// 429 + Retry-After, and /metrics reports the shed and nonzero cache
-// counters — the saturation half of the acceptance criterion.
+// 429 + Retry-After, and /metrics reports the shed — the saturation half
+// of the acceptance criterion.
 func TestShedWith429(t *testing.T) {
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
@@ -329,17 +333,12 @@ func TestShedWith429(t *testing.T) {
 		}
 	}
 
-	// Warm the cache so the hit counter is nonzero, then scrape.
-	postJSON(t, ts.URL+"/v1/compile", CompileRequest{}, nil)
 	_, raw = getJSON(t, ts.URL+"/metrics", nil)
 	text := string(raw)
 	for _, want := range []string{"ursad_shed_total 1", "ursad_requests_total", "ursad_request_seconds_count"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, text)
 		}
-	}
-	if strings.Contains(text, "ursad_cache_hits_total 0\n") {
-		t.Errorf("/metrics cache hits still zero after a repeated compile:\n%s", text)
 	}
 }
 
@@ -444,25 +443,6 @@ func TestConcurrentClients(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
-	}
-}
-
-// TestCacheDeltaAndSharedCache: a repeated identical compile reports cache
-// hits in its per-request delta, and the process-wide counters grow
-// monotonically.
-func TestCacheDeltaAndSharedCache(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	var first, second CompileResponse
-	postJSON(t, ts.URL+"/v1/compile", CompileRequest{}, &first)
-	postJSON(t, ts.URL+"/v1/compile", CompileRequest{}, &second)
-	if first.Cache.Misses == 0 {
-		t.Errorf("first compile reported no cache misses: %+v", first.Cache)
-	}
-	if second.Cache.Hits == 0 {
-		t.Errorf("second identical compile reported no cache hits: %+v", second.Cache)
-	}
-	if n, b := s.Cache().Entries(); n == 0 || b == 0 {
-		t.Errorf("shared cache empty after compiles: entries=%d bytes=%d", n, b)
 	}
 }
 

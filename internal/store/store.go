@@ -4,9 +4,9 @@
 //
 // The allocator's measurement/reduction loop is the expensive part of
 // every compile, and before this package existed all of that work
-// evaporated on process exit: the measurement cache is in-memory only,
-// and each daemon recomputes what its neighbor just finished. The store
-// makes compile results durable and shareable:
+// evaporated on process exit, and each daemon recomputed what its
+// neighbor just finished. The store makes compile results durable and
+// shareable:
 //
 //   - Store is the disk tier: one file per key, written atomically
 //     (temp file + rename into place, so a crash never leaves a partial
