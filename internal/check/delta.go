@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"slices"
 
 	"ursa/internal/core"
@@ -98,9 +99,12 @@ func checkDelta(rep *Report, c *Case) {
 					if *replayed >= maxReplays {
 						continue
 					}
-					before, nodes, regs := g.Fingerprint(), g.NumNodes(), g.Func.NumRegs()
-					unchanged := func() bool {
-						return g.Fingerprint() == before && g.NumNodes() == nodes && g.Func.NumRegs() == regs
+					before, nodes, regs := g.Clone(), g.NumNodes(), g.Func.NumRegs()
+					changed := func() error {
+						if n := g.Func.NumRegs(); n != regs {
+							return fmt.Errorf("%d registers, was %d", n, regs)
+						}
+						return g.Diff(before)
 					}
 					var uses []int
 					if cand.Spill != nil {
@@ -108,8 +112,8 @@ func checkDelta(rep *Report, c *Case) {
 					}
 					reach.CopyFrom(baseReach)
 					if err := cand.Apply(g, reach, &log); err != nil {
-						if !unchanged() {
-							rep.failf(OracleDelta, "%s: refused application left the graph changed", cand)
+						if err := changed(); err != nil {
+							rep.failf(OracleDelta, "%s: refused application left the graph changed: %v", cand, err)
 							return
 						}
 						continue // inapplicable candidates are allowed to refuse
@@ -125,8 +129,8 @@ func checkDelta(rep *Report, c *Case) {
 						checkSpillCandidate(rep, g, cand, nodes, uses)
 					}
 					log.Revert()
-					if !unchanged() {
-						rep.failf(OracleDelta, "%s: revert did not restore the graph", cand)
+					if err := changed(); err != nil {
+						rep.failf(OracleDelta, "%s: revert did not restore the graph: %v", cand, err)
 						return
 					}
 				}

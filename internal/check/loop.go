@@ -210,12 +210,3 @@ func LoadLoopCorpus(dir string) (map[string]*LoopCase, error) {
 	}
 	return out, nil
 }
-
-// WriteLoopCase writes the case to dir/name.ursaloop.
-func WriteLoopCase(dir, name string, c *LoopCase) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, name+".ursaloop")
-	return path, os.WriteFile(path, []byte(FormatLoopCase(c)), 0o644)
-}

@@ -2,7 +2,6 @@ package check
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -44,58 +43,5 @@ func TestLoopCorpusRoundTrip(t *testing.T) {
 		if *c2.Mach != *c.Mach || c2.Source != c.Source {
 			t.Errorf("%s: case changed across round trip", name)
 		}
-	}
-}
-
-// TestLoopShrink drives the spec shrinker with a synthetic failure
-// predicate (the oracle itself is clean): a "failure" tied to one
-// statement kind must reduce to a single-statement, minimal-trip case
-// that still fails.
-func TestLoopShrink(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var spec *loopSpec
-	for {
-		spec = randomLoopSpec(rng)
-		if len(spec.stmts) > 1 && spec.trip > 1 && hasRecurrence(spec) {
-			break
-		}
-	}
-	fails := func(c *LoopCase) bool { return strings.Contains(c.Source, "b[i+1]") }
-	small := shrinkLoopSpec(spec, 7, fails)
-	if !fails(small) {
-		t.Fatal("shrinker lost the failure")
-	}
-	if n := strings.Count(small.Source, ";") - 2; n != 1 { // minus var decl and out store
-		t.Errorf("shrunk to %d body statements, want 1\n%s", n, small.Source)
-	}
-	if !strings.Contains(small.Source, "for i = 0 to 0 {") {
-		t.Errorf("shrunk trip not minimal\n%s", small.Source)
-	}
-}
-
-func hasRecurrence(spec *loopSpec) bool {
-	for _, s := range spec.stmts {
-		if strings.Contains(s, "b[i+1]") {
-			return true
-		}
-	}
-	return false
-}
-
-// TestRunLoops smoke-tests the campaign driver on a handful of seeds: no
-// violations, and the loop oracle demonstrably fired.
-func TestRunLoops(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loop campaign is slow")
-	}
-	sum, err := RunLoops(LoopRunConfig{N: 6, Seed: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sum.OK() {
-		t.Fatalf("campaign found violations: %+v", sum.Found)
-	}
-	if sum.Exercised[OracleLoop] == 0 {
-		t.Fatal("campaign never exercised the loop oracle")
 	}
 }

@@ -2,19 +2,9 @@ package check
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 )
-
-// loopSpec is the structured form a generated loop case is rendered from;
-// the shrinker edits the spec and re-renders, so reductions stay inside
-// the kernel language.
-type loopSpec struct {
-	trip  int
-	stmts []string
-	mach  *MachineSpec
-}
 
 // loopTrips are the trip counts the generator draws from: the degenerate
 // counts (0, 1), primes and other counts no power-of-two blocking factor
@@ -37,16 +27,12 @@ func loopStmtPool(rng *rand.Rand) []string {
 	}
 }
 
-// GenerateLoop produces one random loop case from the rng. Machines are
-// kept roomy enough (≥ 8 registers per class in play) that every canonical
-// loop admits a spill-free kernel; a Pipeline refusal on a generated case
-// is therefore a finding, not noise.
+// GenerateLoop produces one random loop case from the rng: one to four
+// distinct body statements, a trip count, and a machine. Machines are kept
+// roomy enough (≥ 8 registers per class in play) that every canonical loop
+// admits a spill-free kernel; a Pipeline refusal on a generated case is
+// therefore a finding, not noise.
 func GenerateLoop(rng *rand.Rand) *LoopCase {
-	spec := randomLoopSpec(rng)
-	return &LoopCase{Name: "loop", Source: renderLoopSpec(spec), Mach: spec.mach}
-}
-
-func randomLoopSpec(rng *rand.Rand) *loopSpec {
 	pool := loopStmtPool(rng)
 	n := 1 + rng.Intn(4)
 	var stmts []string
@@ -77,126 +63,14 @@ func randomLoopSpec(rng *rand.Rand) *loopSpec {
 			Realistic: rng.Intn(3) == 0,
 		}
 	}
-	return &loopSpec{
-		trip:  loopTrips[rng.Intn(len(loopTrips))],
-		stmts: stmts,
-		mach:  mach,
-	}
-}
+	trip := loopTrips[rng.Intn(len(loopTrips))]
 
-func renderLoopSpec(spec *loopSpec) string {
 	var sb strings.Builder
 	sb.WriteString("func genloop {\n\tvar s = 1;\n")
-	fmt.Fprintf(&sb, "\tfor i = 0 to %d {\n", spec.trip)
-	for _, s := range spec.stmts {
+	fmt.Fprintf(&sb, "\tfor i = 0 to %d {\n", trip)
+	for _, s := range stmts {
 		fmt.Fprintf(&sb, "\t\t%s\n", s)
 	}
 	sb.WriteString("\t}\n\tout[0] = s;\n}\n")
-	return sb.String()
-}
-
-// shrinkLoopSpec greedily reduces a failing spec — drop body statements,
-// then lower the trip count — while fails still holds, and returns the
-// smallest failing case found.
-func shrinkLoopSpec(spec *loopSpec, seed int64, fails func(*LoopCase) bool) *LoopCase {
-	render := func(s *loopSpec) *LoopCase {
-		return &LoopCase{Name: "loop", Seed: seed, Source: renderLoopSpec(s), Mach: s.mach}
-	}
-	cur := spec
-	for changed := true; changed; {
-		changed = false
-		for k := 0; k < len(cur.stmts) && len(cur.stmts) > 1; k++ {
-			next := &loopSpec{trip: cur.trip, mach: cur.mach}
-			next.stmts = append(append([]string{}, cur.stmts[:k]...), cur.stmts[k+1:]...)
-			if fails(render(next)) {
-				cur = next
-				changed = true
-				k--
-			}
-		}
-		for _, t := range loopTrips {
-			if t >= cur.trip {
-				break
-			}
-			next := &loopSpec{trip: t, stmts: cur.stmts, mach: cur.mach}
-			if fails(render(next)) {
-				cur = next
-				changed = true
-				break
-			}
-		}
-	}
-	return render(cur)
-}
-
-// LoopRunConfig configures a loop-oracle fuzzing campaign.
-type LoopRunConfig struct {
-	N    int   // number of cases (default 200)
-	Seed int64 // base seed; case i uses Seed+i
-	// Shrink minimizes every reported failure before it is returned.
-	Shrink bool
-	// OutDir, when non-empty, receives one .ursaloop repro per failure.
-	OutDir string
-	// MaxRepros bounds the kept repros (default 5).
-	MaxRepros int
-	// Log receives progress lines; nil discards them.
-	Log io.Writer
-}
-
-// RunLoops executes a loop campaign: generate N seeded loop cases, run the
-// loop oracle on each, shrink and serialize the failures. Cases run
-// sequentially — each one already fans out across the II × unroll search.
-func RunLoops(cfg LoopRunConfig) (*Summary, error) {
-	if cfg.N <= 0 {
-		cfg.N = 200
-	}
-	if cfg.MaxRepros <= 0 {
-		cfg.MaxRepros = 5
-	}
-	sum := &Summary{Cases: cfg.N, Exercised: map[string]int{}}
-	fails := func(c *LoopCase) bool { return CheckLoop(c).FailedOracle(OracleLoop) }
-	for i := 0; i < cfg.N; i++ {
-		seed := cfg.Seed + int64(i)
-		rng := rand.New(rand.NewSource(seed))
-		spec := randomLoopSpec(rng)
-		c := &LoopCase{
-			Name:   fmt.Sprintf("loop_s%d", seed),
-			Seed:   seed,
-			Source: renderLoopSpec(spec),
-			Mach:   spec.mach,
-		}
-		rep := CheckLoop(c)
-		for name, n := range rep.Exercised {
-			sum.Exercised[name] += n
-		}
-		if !rep.Failed() {
-			continue
-		}
-		if len(sum.Found) >= cfg.MaxRepros {
-			sum.Suppressed++
-			continue
-		}
-		logf(cfg.Log, "loop case seed=%d: %s", seed, rep.Violations[0])
-		f := Found{Oracle: OracleLoop, Detail: rep.Violations[0].Detail, Seed: seed, Case: nil}
-		small := c
-		if cfg.Shrink {
-			small = shrinkLoopSpec(spec, seed, fails)
-			small.Name = c.Name
-			if r := CheckLoop(small); r.Failed() {
-				f.Detail = r.Violations[0].Detail
-			}
-			logf(cfg.Log, "  shrunk to %d source bytes on %s", len(small.Source), small.Mach)
-		}
-		if cfg.OutDir != "" {
-			path, err := WriteLoopCase(cfg.OutDir, fmt.Sprintf("shrunk-loop-s%d", seed), small)
-			if err != nil {
-				return nil, err
-			}
-			f.Path = path
-			logf(cfg.Log, "  wrote %s", path)
-		}
-		sum.Found = append(sum.Found, f)
-	}
-	logf(cfg.Log, "%s", sum)
-	return sum, nil
+	return &LoopCase{Name: "loop", Source: sb.String(), Mach: mach}
 }

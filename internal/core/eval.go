@@ -27,9 +27,8 @@ type evalOutcome struct {
 
 // iterState is the per-iteration committed state every candidate is
 // generated from and scored against: the committed graph's hammocks, node
-// depths and measurements. It is derived once per committed generation
-// (memoized in the evaluator) and shared by the main loop and every
-// candidate worker.
+// depths and measurements. It is derived once per commit (memoized in the
+// evaluator) and shared by the main loop and every candidate worker.
 type iterState struct {
 	hammocks []*dag.Hammock
 	depths   []int
@@ -39,8 +38,8 @@ type iterState struct {
 
 // evaluator scores reduction candidates. One evaluator lives for a whole
 // runOnce: it owns the committed graph's transitive closure (maintained in
-// place across commits), the memoized per-generation iteration state, and
-// one reusable scratch per worker, and fans candidates out via
+// place across commits), the memoized iteration state of the committed
+// graph, and one reusable scratch per worker, and fans candidates out via
 // internal/driver.
 //
 // Every candidate, of every kind and on every target family, is scored on
@@ -49,8 +48,10 @@ type iterState struct {
 // transform.UndoLog (transform.Candidate.Apply keeps the closure closed
 // through sequencing edges and spill payloads alike), build every
 // resource into the worker's pooled reuse.Builder against that closure,
-// take its width, and revert. The winner is applied to the committed graph
-// and its closure through the same Apply.
+// take its width, and revert. The winner is committed through the same
+// Apply, to every worker's scratch graph and then to the committed graph,
+// so every scratch stays equal to the committed graph from its first use
+// on.
 // A score needs only widths, and a width is the item count less a maximum
 // matching, so candidates never go through the hammocks or the nesting
 // levels: measure.Width is the one scoring primitive. It is warm-started
@@ -66,8 +67,8 @@ type iterState struct {
 // TestSpillEvalAllocatesOnlyApply).
 //
 // Only the committed graph is measured in full (prioritized chains, for the
-// excess sets), once per generation, from the closure, depths and hammocks
-// the generation's state already holds.
+// excess sets), once per commit, from the closure, depths and hammocks
+// its iteration state already holds.
 //
 // Every score equals the from-scratch definition — clone, apply, measure
 // every resource, take the critical path — because a maximum matching is a
@@ -87,17 +88,11 @@ type evaluator struct {
 	workers   int
 	scratches []*evalScratch
 
-	// gen counts committed transformations; it tags which graph state the
-	// memoized iteration state, the closure, and each scratch describe.
-	gen   int
 	reach *order.Relation // committed graph's closure
 	topo  dag.Scratch     // the committed depths' storage
 	log   transform.UndoLog
-	// commits[i] records the transformation that moved generation i to i+1,
-	// so stale scratches can replay instead of re-cloning.
-	commits []commitRec
 
-	st *iterState // memoized state for gen; nil until state() derives it
+	st *iterState // the committed graph's state; nil until state() derives it
 
 	// Candidate dedupe state, reused across iterations.
 	keyBuf  []byte
@@ -107,19 +102,13 @@ type evaluator struct {
 	batchNs atomic.Int64 // summed per-job busy time of the current batch
 }
 
-// commitRec describes one committed transformation for scratch replay.
-type commitRec struct {
-	spill bool
-	edges [][2]int
-}
-
-// evalScratch is one worker's private reusable state: a clone of the
-// committed graph (with a cloned Func) that candidates mutate and revert, a
-// closure buffer copied from the committed closure before each
-// application, the undo log, and one pooled reuse builder per resource.
+// evalScratch is one worker's private reusable state: a copy of the
+// committed graph (with its own Func) that candidates mutate and revert and
+// commits advance, a closure buffer copied from the committed closure
+// before each application, the undo log, and one pooled reuse builder per
+// resource.
 type evalScratch struct {
 	g     *dag.Graph
-	gen   int // generation sc.g matches
 	reach order.Relation
 	log   transform.UndoLog
 	topo  dag.Scratch
@@ -150,11 +139,11 @@ func newEvaluator(g *dag.Graph, resources []Resource, lat func(*dag.Node) int, o
 	}
 }
 
-// state returns the committed iteration state for the current generation,
-// computing it at most once per generation. Called only from the goroutine
-// driving the evaluator; candidate workers receive the result as an
-// argument. Every resource is built from the committed closure and depths
-// and prioritized by the nesting levels of the generation's hammocks.
+// state returns the committed graph's iteration state, computing it at most
+// once per commit. Called only from the goroutine driving the evaluator;
+// candidate workers receive the result as an argument. Every resource is
+// built from the committed closure and depths and prioritized by the
+// nesting levels of the committed graph's hammocks.
 func (e *evaluator) state() *iterState {
 	if e.st != nil {
 		return e.st
@@ -174,53 +163,40 @@ func (e *evaluator) state() *iterState {
 	return st
 }
 
-// commit applies the candidate to the committed graph, whose closure Apply
-// keeps current, and records it: it advances the generation and
-// invalidates the memoized iteration state. A refused commit leaves the
-// closure stale, and the run ends with the error.
+// commit applies the candidate through Candidate.Apply to every worker
+// scratch, each with its own copy of the committed closure from before the
+// commit, then to the committed graph and its closure, and drops the
+// memoized iteration state. The replay is exact: each scratch equals the
+// committed graph before the commit, Apply numbers new nodes and registers
+// in the same order on both (a scored candidate's Revert truncated its own
+// away), and it reads no adjacency order — uses come in id order and
+// reachability from the closure. A refused commit ends the run with the
+// error.
 func (e *evaluator) commit(c *transform.Candidate) error {
+	for _, sc := range e.scratches {
+		if sc == nil {
+			continue
+		}
+		sc.reach.CopyFrom(e.reach)
+		if err := c.Apply(sc.g, &sc.reach, &sc.log); err != nil {
+			return err
+		}
+	}
 	if err := c.Apply(e.g, e.reach, &e.log); err != nil {
 		return err
 	}
-	rec := commitRec{spill: !c.SeqOnly()}
-	if !rec.spill {
-		rec.edges = c.Edges
-	}
-	e.commits = append(e.commits, rec)
-	e.gen++
 	e.st = nil
 	return nil
 }
 
-// scratch returns worker w's scratch state, building it on first use and
-// bringing its graph up to the committed generation: sequencing commits are
-// replayed as plain edge insertions; a spill commit (which restructures
-// instructions) forces a fresh clone.
+// scratch returns worker w's scratch state, cloning the committed graph and
+// its Func on the worker's first use; commit keeps it current from then on.
 func (e *evaluator) scratch(w int) *evalScratch {
 	sc := e.scratches[w]
 	if sc == nil {
-		sc = &evalScratch{res: make([]reuse.Builder, len(e.resources))}
-		sc.gen = -1
+		sc = &evalScratch{g: e.g.Clone(), res: make([]reuse.Builder, len(e.resources))}
+		sc.g.Func = e.g.Func.Clone()
 		e.scratches[w] = sc
-	}
-	if sc.gen != e.gen {
-		rebuild := sc.g == nil
-		for gi := sc.gen; !rebuild && gi < e.gen; gi++ {
-			if gi < 0 || e.commits[gi].spill {
-				rebuild = true
-			}
-		}
-		if rebuild {
-			sc.g = e.g.Clone()
-			sc.g.Func = e.g.Func.Clone()
-		} else {
-			for gi := sc.gen; gi < e.gen; gi++ {
-				for _, ed := range e.commits[gi].edges {
-					sc.g.AddEdge(ed[0], ed[1], dag.EdgeSeq)
-				}
-			}
-		}
-		sc.gen = e.gen
 	}
 	return sc
 }

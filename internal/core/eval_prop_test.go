@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ursa/internal/dag"
+	"ursa/internal/ir"
 	"ursa/internal/machine"
 	"ursa/internal/measure"
 	"ursa/internal/target"
 	"ursa/internal/transform"
+	"ursa/internal/workload"
 )
 
 func reportsEqual(a, b *Report) string {
@@ -116,9 +119,9 @@ func TestFreshVsPooledEvaluator(t *testing.T) {
 
 // driveCommits runs the reduction loop's single-phase commit sequence on
 // ev — best strict improvement, else a budgeted plateau spill — and
-// returns the spill commits it made. visit sees every generation's state
+// returns the commits it made, by kind. visit sees every committed state
 // and its scored candidates (none once the state fits).
-func driveCommits(t *testing.T, ev *evaluator, style scoreStyle, visit func(iter int, st *iterState, outs []evalOutcome)) (spills int) {
+func driveCommits(t *testing.T, ev *evaluator, style scoreStyle, visit func(iter int, st *iterState, outs []evalOutcome)) (commits [transform.NumKinds]int) {
 	t.Helper()
 	plateau := 4
 	for iter := 0; iter < iterBound(ev.g); iter++ {
@@ -143,9 +146,91 @@ func driveCommits(t *testing.T, ev *evaluator, style scoreStyle, visit func(iter
 		if err := ev.commit(best.cand); err != nil {
 			t.Fatalf("iter %d: committing %s: %v", iter, best.cand, err)
 		}
-		if best.cand.Kind == transform.Spill || best.cand.Kind == transform.CopySpill {
-			spills++
+		commits[best.cand.Kind]++
+	}
+	return commits
+}
+
+// TestScratchesFollowCommits: every commit reaches each worker scratch
+// through Candidate.Apply, so a scratch is cloned once and stays equal to
+// the committed graph from then on. Drive a four-worker evaluator (with
+// GOMAXPROCS forced to 4, so the fan-out runs in parallel) through every
+// commit of the reduction loop on a classic, a clustered and an
+// exposed-datapath preset, and after each commit hold every worker's
+// scratch to the committed graph — structure, register count and register
+// classes — and to the graph and Func it was created with: a spill or
+// copy-spill commit must not re-clone it.
+func TestScratchesFollowCommits(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+
+	const workers = 4
+	for _, preset := range []string{"vliw2x4", "clus2x2x4", "edp2x6b1"} {
+		m := target.ByName(preset).Config
+		var commits [transform.NumKinds]int
+		for _, kernel := range []string{"hydro", "fft2", "maxloc"} {
+			u, err := workload.KernelByName(kernel).Unit(2)
+			if err != nil {
+				t.Fatalf("%s: %v", kernel, err)
+			}
+			for _, b := range u.Func.Blocks {
+				for _, style := range []scoreStyle{styleDefault, styleSpillFirst} {
+					f := u.Func.Clone()
+					nb := f.Block(b.Label)
+					if _, err := target.Clusterize(nb, m); err != nil {
+						t.Fatalf("%s %s: %v", preset, kernel, err)
+					}
+					g, err := dag.Build(nb)
+					if err != nil {
+						t.Fatalf("%s %s: %v", preset, kernel, err)
+					}
+					resources := Resources(g, m)
+					lat := func(n *dag.Node) int { return m.LatencyOf(n.Instr.Op) }
+					ev := newEvaluator(g, resources, lat, &Options{Machine: m, Workers: workers})
+					if ev.workers != workers {
+						t.Fatalf("evaluator runs %d workers, want %d", ev.workers, workers)
+					}
+					var first [workers]*evalScratch
+					var graphs [workers]*dag.Graph
+					var funcs [workers]*ir.Func
+					for w := range first {
+						first[w] = ev.scratch(w)
+						graphs[w], funcs[w] = first[w].g, first[w].g.Func
+					}
+					check := func(iter int) {
+						for w := range first {
+							sc := ev.scratch(w)
+							if sc != first[w] || sc.g != graphs[w] || sc.g.Func != funcs[w] {
+								t.Fatalf("%s %s %s style %d iter %d: worker %d's scratch was re-created", preset, kernel, b.Label, style, iter, w)
+							}
+							if err := sc.g.Diff(ev.g); err != nil {
+								t.Fatalf("%s %s %s style %d iter %d: worker %d's scratch differs from the committed graph: %v", preset, kernel, b.Label, style, iter, w, err)
+							}
+							fs, fc := sc.g.Func, ev.g.Func
+							if fs.NumRegs() != fc.NumRegs() {
+								t.Fatalf("%s %s %s style %d iter %d: worker %d's scratch has %d registers, the committed graph %d", preset, kernel, b.Label, style, iter, w, fs.NumRegs(), fc.NumRegs())
+							}
+							for v := ir.VReg(1); int(v) < fc.NumRegs(); v++ {
+								if fs.ClassOf(v) != fc.ClassOf(v) {
+									t.Fatalf("%s %s %s style %d iter %d: worker %d's %s is %v, committed %v", preset, kernel, b.Label, style, iter, w, fc.NameOf(v), fs.ClassOf(v), fc.ClassOf(v))
+								}
+							}
+						}
+					}
+					c := driveCommits(t, ev, style, func(iter int, _ *iterState, _ []evalOutcome) { check(iter) })
+					check(-1)
+					for k := range c {
+						commits[k] += c[k]
+					}
+				}
+			}
+		}
+		t.Logf("%s: commits by kind %v", preset, commits)
+		if commits[transform.Spill] == 0 {
+			t.Errorf("%s: no spill commit; the fixture no longer covers spills", preset)
+		}
+		if m.Clusters > 1 && commits[transform.CopySpill] == 0 {
+			t.Errorf("%s: no copy-spill commit; the fixture no longer covers copy-spills", preset)
 		}
 	}
-	return spills
 }

@@ -7,6 +7,7 @@ import (
 	"ursa/internal/dag"
 	"ursa/internal/measure"
 	"ursa/internal/target"
+	"ursa/internal/transform"
 	"ursa/internal/workload"
 )
 
@@ -41,16 +42,17 @@ func TestCommittedMeasurementMatchesScratch(t *testing.T) {
 					resources := Resources(g, m)
 					lat := func(n *dag.Node) int { return m.LatencyOf(n.Instr.Op) }
 					ev := newEvaluator(g, resources, lat, &Options{Machine: m, Workers: 1})
-					spills += driveCommits(t, ev, style, func(_ int, st *iterState, _ []evalOutcome) {
+					c := driveCommits(t, ev, style, func(iter int, st *iterState, _ []evalOutcome) {
 						gens++
 						for _, r := range resources {
 							got, want := st.results[r.Name], measure.Measure(r.Build(g))
 							if got.Width != want.Width || !reflect.DeepEqual(got.Chains, want.Chains) || !reflect.DeepEqual(got.ChainOf, want.ChainOf) {
 								t.Fatalf("%s %s %s style %d generation %d: committed measurement differs from scratch:\n got width %d chains %v\nwant width %d chains %v",
-									preset, kernel, r.Name, style, ev.gen, got.Width, got.Chains, want.Width, want.Chains)
+									preset, kernel, r.Name, style, iter, got.Width, got.Chains, want.Width, want.Chains)
 							}
 						}
 					})
+					spills += c[transform.Spill] + c[transform.CopySpill]
 				}
 			}
 		}

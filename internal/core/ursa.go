@@ -427,7 +427,7 @@ func runOnce(g *dag.Graph, opts Options, style scoreStyle, maxIters int) (*Repor
 		plateau := 4
 		for rep.Iterations < maxIters && excess > 0 {
 			// One Hammocks and one Depths pass per iteration (memoized in
-			// the evaluator's generation state), shared by excess-set
+			// the evaluator until the next commit), shared by excess-set
 			// location and every candidate generator.
 			st := ev.state()
 			cands := ev.collectCandidates(st, phase)
@@ -499,11 +499,11 @@ type scored struct {
 // collectCandidates generates reduction candidates on the committed graph
 // for every over-limit resource in the group, using the innermost and
 // outermost excessive sets. The generators read the committed closure and
-// st, the generation's hammocks, depths and measurements. The innermost
+// st, the committed graph's hammocks, depths and measurements. The innermost
 // and outermost sets (and different generators) routinely emit candidates
 // with identical effect; those are kept in place — the selection ranks the
 // exact historical sequence — but the evaluator canonicalizes them by
-// transform.Candidate.Key and measures each distinct effect once.
+// transform.Candidate.AppendKey and measures each distinct effect once.
 func (e *evaluator) collectCandidates(st *iterState, group []Resource) []scored {
 	g, reach, opts := e.g, e.reach, e.opts
 	var out []scored

@@ -108,49 +108,3 @@ func MaxAntichainBrute(rel *Relation, subset []int) []int {
 	rec(0)
 	return best
 }
-
-// LongestChain returns a maximum-length chain of the acyclic relation rel
-// (not necessarily transitively closed), computed by DP over a topological
-// order. Its length bounds the number of antichains needed to cover the
-// order (Mirsky's theorem) — useful as a sanity bound in tests.
-func LongestChain(rel *Relation) Chain {
-	topo, ok := rel.TopoOrder()
-	if !ok {
-		return nil
-	}
-	bp := getInts(2 * rel.Size())
-	defer putInts(bp)
-	buf := (*bp)[:2*rel.Size()]
-	longest := buf[:rel.Size()] // longest chain ending at i
-	prev := buf[rel.Size():]
-	for i := range prev {
-		prev[i] = -1
-		longest[i] = 1
-	}
-	bestEnd := -1
-	for _, a := range topo {
-		if bestEnd == -1 || longest[a] > longest[bestEnd] {
-			bestEnd = a
-		}
-		rel.Row(a).ForEach(func(b int) {
-			if longest[a]+1 > longest[b] {
-				longest[b] = longest[a] + 1
-				prev[b] = a
-			}
-		})
-	}
-	if bestEnd == -1 {
-		return nil
-	}
-	// Recheck the end after relaxations.
-	for i := range longest {
-		if longest[i] > longest[bestEnd] {
-			bestEnd = i
-		}
-	}
-	var c Chain
-	for x := bestEnd; x != -1; x = prev[x] {
-		c = append(Chain{x}, c...)
-	}
-	return c
-}

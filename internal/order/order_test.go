@@ -172,17 +172,6 @@ func TestMaxAntichainBruteSubset(t *testing.T) {
 	}
 }
 
-func TestLongestChain(t *testing.T) {
-	r := diamond()
-	lc := LongestChain(r)
-	if len(lc) != 3 {
-		t.Errorf("LongestChain = %v, want length 3", lc)
-	}
-	if err := ValidateChain(r.TransitiveClosure(), lc); err != nil {
-		t.Errorf("LongestChain not a chain: %v", err)
-	}
-}
-
 // randomDAG builds a random DAG relation where i -> j only if i < j.
 func randomDAG(rng *rand.Rand, n int, p float64) *Relation {
 	r := NewRelation(n)
@@ -215,21 +204,6 @@ func TestClosureIsPartialOrderProperty(t *testing.T) {
 					t.Fatalf("trial %d: reduction changed closure", trial)
 				}
 			}
-		}
-	}
-}
-
-func TestDilworthDualityProperty(t *testing.T) {
-	// width(P) * height-cover duality sanity: the longest chain length and
-	// the maximum antichain size both bound n: width*height >= n.
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
-		r := randomDAG(rng, 10, 0.25)
-		c := r.TransitiveClosure()
-		width := len(MaxAntichainBrute(c, nil))
-		height := len(LongestChain(r))
-		if width*height < 10 {
-			t.Fatalf("trial %d: width %d * height %d < n", trial, width, height)
 		}
 	}
 }

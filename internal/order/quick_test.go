@@ -112,21 +112,6 @@ func TestQuickAddClosureEdge(t *testing.T) {
 	}
 }
 
-func TestQuickDilworthDuality(t *testing.T) {
-	// Width (max antichain) times height (longest chain) bounds n, and the
-	// width never exceeds n nor drops below 1 on a nonempty set.
-	f := func(g relGen) bool {
-		c := g.rel.TransitiveClosure()
-		w := len(MaxAntichainBrute(c, nil))
-		h := len(LongestChain(g.rel))
-		n := g.rel.Size()
-		return w >= 1 && w <= n && w*h >= n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickBitSetLaws(t *testing.T) {
 	type sets struct {
 		A, B []uint8

@@ -102,7 +102,7 @@ func TestApplyKeepsClosure(t *testing.T) {
 						cands = FUCandidates(g, base, depths, res, set)
 					}
 					for _, c := range cands {
-						before := g.Fingerprint()
+						before := g.Clone()
 						reach.CopyFrom(base)
 						if err := c.Apply(g, reach, &log); err != nil {
 							continue
@@ -122,8 +122,8 @@ func TestApplyKeepsClosure(t *testing.T) {
 							spills++
 						}
 						log.Revert()
-						if g.Fingerprint() != before {
-							t.Fatalf("graph %d %s: Revert did not restore the graph", gi, c)
+						if err := g.Diff(before); err != nil {
+							t.Fatalf("graph %d %s: Revert did not restore the graph: %v", gi, c, err)
 						}
 					}
 				}

@@ -66,9 +66,8 @@ func adjacency(g *dag.Graph) (succ, pred [][]int) {
 // TestCopySpillApplyLogRevert: on every inter-cluster copy of the committed
 // clustered cases, Apply through one reused log yields the same graph as
 // Apply on a clone, the closure Apply keeps is the result's, and Revert
-// restores the fingerprint, the copy
-// instruction's Op/Args/Sym, and every node's successor and predecessor
-// set.
+// restores the graph, the copy instruction's Op/Args/Sym, and every node's
+// successor and predecessor set.
 func TestCopySpillApplyLogRevert(t *testing.T) {
 	for _, name := range []string{"clustered-copy-cheaper-than-spill", "clustered-join-copy"} {
 		g := clusteredGraph(t, name)
@@ -88,7 +87,7 @@ func TestCopySpillApplyLogRevert(t *testing.T) {
 				t.Fatalf("%s node %d: Apply: %v", name, n, err)
 			}
 
-			before, nodes := g.Fingerprint(), g.NumNodes()
+			before := g.Clone()
 			op, args, sym := in.Op, slices.Clone(in.Args), in.Sym
 			succ, pred := adjacency(g)
 			reach := g.Reach()
@@ -101,12 +100,12 @@ func TestCopySpillApplyLogRevert(t *testing.T) {
 			if in.Op != ir.SpillLoad {
 				t.Errorf("%s node %d: copy not rewritten into a reload (op %s)", name, n, in.Op)
 			}
-			if g.Fingerprint() != ref.Fingerprint() {
-				t.Errorf("%s node %d: Apply on the graph and on a clone produced different graphs", name, n)
+			if err := g.Diff(ref); err != nil {
+				t.Errorf("%s node %d: Apply on the graph and on a clone produced different graphs: %v", name, n, err)
 			}
 			log.Revert()
-			if g.Fingerprint() != before || g.NumNodes() != nodes {
-				t.Errorf("%s node %d: Revert did not restore the fingerprint", name, n)
+			if err := g.Diff(before); err != nil {
+				t.Errorf("%s node %d: Revert did not restore the graph: %v", name, n, err)
 			}
 			if in.Op != op || !slices.Equal(in.Args, args) || in.Sym != sym {
 				t.Errorf("%s node %d: Revert left %s %v %q, want %s %v %q",

@@ -245,19 +245,14 @@ func (c *Candidate) apply(g *dag.Graph, reach *order.Relation, log *UndoLog) err
 // only adds sequence edges, with no spill or copy-spill payload.
 func (c *Candidate) SeqOnly() bool { return c.Spill == nil && c.CopySpill == nil }
 
-// Key returns a canonical identity for the transformation's effect: the
-// kind, the edge set in sorted order, and the spill target. Candidates with
-// equal keys transform the graph identically even when their generators and
-// Notes differ; the driver uses this to measure each distinct effect once
-// per iteration. Key allocates its result; the evaluator's hot path appends
-// the same encoding (AppendKey) to a reused buffer instead.
-func (c *Candidate) Key() string { return string(c.AppendKey(nil)) }
-
 // AppendKey appends the candidate's canonical binary encoding to dst and
-// returns the extended slice. The encoding is what Key is built from:
-// kind, edge count, edges sorted lexicographically, and the spill payload
-// (register, definition, sorted barriers, sorted pre-roots) when present. Candidates with up to 32 edges encode without allocating
-// beyond dst's growth.
+// returns the extended slice: kind, edge count, edges sorted
+// lexicographically, and the spill payload (register, definition, sorted
+// barriers, sorted pre-roots) or the copy-spill's copy node when present.
+// Candidates with equal encodings transform the graph identically even
+// when their generators and Notes differ; the evaluator uses this to
+// measure each distinct effect once per iteration. Candidates with up to
+// 32 edges encode without allocating beyond dst's growth.
 func (c *Candidate) AppendKey(dst []byte) []byte {
 	dst = append(dst, byte(c.Kind))
 	// Node ids are non-negative and below 2³², so packing an edge as

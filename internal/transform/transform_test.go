@@ -301,8 +301,8 @@ func TestSequencingNeverIncreasesWidth(t *testing.T) {
 }
 
 // TestApplyLogRoundTrip: Apply adds exactly the missing edges to the graph
-// and to the closure it was handed, and Revert restores the graph
-// fingerprint — the contract that lets the evaluator reuse one scratch
+// and to the closure it was handed, and Revert restores the graph — the
+// contract that lets the evaluator reuse one scratch
 // graph across many candidates.
 func TestApplyLogRoundTrip(t *testing.T) {
 	g := paperGraph(t)
@@ -313,7 +313,7 @@ func TestApplyLogRoundTrip(t *testing.T) {
 	}
 	cand := &Candidate{Kind: FUSequence, Edges: [][2]int{pre, {b, c}}, Note: "test"}
 
-	before, edges := g.Fingerprint(), g.Relation().Pairs()
+	before, edges := g.Clone(), g.Relation().Pairs()
 	reach := g.Reach()
 	var log UndoLog
 	if err := cand.Apply(g, reach, &log); err != nil {
@@ -326,8 +326,8 @@ func TestApplyLogRoundTrip(t *testing.T) {
 		t.Fatal("the closure Apply kept differs from the graph's")
 	}
 	log.Revert()
-	if g.Fingerprint() != before {
-		t.Fatal("Revert did not restore the graph (an existing edge must be skipped, not logged)")
+	if err := g.Diff(before); err != nil {
+		t.Fatalf("Revert did not restore the graph (an existing edge must be skipped, not logged): %v", err)
 	}
 }
 
@@ -349,13 +349,13 @@ func TestRefusedApplyLeavesGraphUntouched(t *testing.T) {
 		}},
 	}
 	for _, c := range cands {
-		fp, nodes, regs := g.Fingerprint(), g.NumNodes(), g.Func.NumRegs()
+		before, regs := g.Clone(), g.Func.NumRegs()
 		if err := apply(g, c); err == nil {
 			t.Fatalf("%s: applied, want a refusal", c)
 		}
-		if g.Fingerprint() != fp || g.NumNodes() != nodes || g.Func.NumRegs() != regs {
-			t.Errorf("%s: refusal changed the graph: %d nodes, %d regs (was %d, %d), fingerprint changed %v",
-				c, g.NumNodes(), g.Func.NumRegs(), nodes, regs, g.Fingerprint() != fp)
+		if err := g.Diff(before); err != nil || g.Func.NumRegs() != regs {
+			t.Errorf("%s: refusal changed the graph: %d regs (was %d), %v",
+				c, g.Func.NumRegs(), regs, err)
 		}
 	}
 }
@@ -376,17 +376,17 @@ func TestApplyLogSpillRoundTrip(t *testing.T) {
 	if err := apply(ref, cand); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	before, regs := g.Fingerprint(), g.Func.NumRegs()
+	before, regs := g.Clone(), g.Func.NumRegs()
 	var log UndoLog
 	if err := cand.Apply(g, g.Reach(), &log); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	if g.Fingerprint() != ref.Fingerprint() {
-		t.Error("Apply on the graph and on a clone produced different graphs")
+	if err := g.Diff(ref); err != nil {
+		t.Errorf("Apply on the graph and on a clone produced different graphs: %v", err)
 	}
 	log.Revert()
-	if g.Fingerprint() != before || g.Func.NumRegs() != regs {
-		t.Error("Revert did not restore the graph")
+	if err := g.Diff(before); err != nil || g.Func.NumRegs() != regs {
+		t.Errorf("Revert did not restore the graph: %d regs (was %d), %v", g.Func.NumRegs(), regs, err)
 	}
 }
 
@@ -397,39 +397,40 @@ func TestCopySpillRejectsNonCopy(t *testing.T) {
 	g := paperGraph(t)
 	for _, n := range []int{node(t, g, "w"), g.Root, -1, g.NumNodes()} {
 		cand := &Candidate{Kind: CopySpill, CopySpill: &CopySpillSpec{Copy: n}}
-		before, nodes := g.Fingerprint(), g.NumNodes()
+		before := g.Clone()
 		if err := apply(g, cand); err == nil {
 			t.Errorf("Apply accepted a copy-spill of node %d", n)
 		}
-		if g.Fingerprint() != before || g.NumNodes() != nodes {
-			t.Fatalf("refused copy-spill of node %d changed the graph", n)
+		if err := g.Diff(before); err != nil {
+			t.Fatalf("refused copy-spill of node %d changed the graph: %v", n, err)
 		}
 	}
 }
 
-// TestCandidateKey: Key identifies a candidate by effect — edge order and
-// Note are ignored; kind, edge set, and spill payload are not.
+// TestCandidateKey: AppendKey identifies a candidate by effect — edge order
+// and Note are ignored; kind, edge set, and spill payload are not.
 func TestCandidateKey(t *testing.T) {
+	key := func(c *Candidate) string { return string(c.AppendKey(nil)) }
 	a := &Candidate{Kind: FUSequence, Edges: [][2]int{{1, 2}, {3, 4}}, Note: "one"}
 	b := &Candidate{Kind: FUSequence, Edges: [][2]int{{3, 4}, {1, 2}}, Note: "two"}
-	if a.Key() != b.Key() {
-		t.Errorf("edge order changed the key: %q vs %q", a.Key(), b.Key())
+	if key(a) != key(b) {
+		t.Errorf("edge order changed the key: %q vs %q", key(a), key(b))
 	}
 	c := &Candidate{Kind: RegSequence, Edges: [][2]int{{1, 2}, {3, 4}}}
-	if a.Key() == c.Key() {
+	if key(a) == key(c) {
 		t.Error("kind not part of the key")
 	}
 	d := &Candidate{Kind: FUSequence, Edges: [][2]int{{1, 2}}}
-	if a.Key() == d.Key() {
+	if key(a) == key(d) {
 		t.Error("edge set not part of the key")
 	}
 	s1 := &Candidate{Kind: Spill, Spill: &SpillSpec{Reg: 1, Def: 2, Barrier: []int{5, 3}, PreRoots: []int{7}}}
 	s2 := &Candidate{Kind: Spill, Spill: &SpillSpec{Reg: 1, Def: 2, Barrier: []int{3, 5}, PreRoots: []int{7}}}
-	if s1.Key() != s2.Key() {
-		t.Errorf("barrier order changed the key: %q vs %q", s1.Key(), s2.Key())
+	if key(s1) != key(s2) {
+		t.Errorf("barrier order changed the key: %q vs %q", key(s1), key(s2))
 	}
 	s3 := &Candidate{Kind: Spill, Spill: &SpillSpec{Reg: 1, Def: 3, Barrier: []int{3, 5}, PreRoots: []int{7}}}
-	if s1.Key() == s3.Key() {
+	if key(s1) == key(s3) {
 		t.Error("spill def not part of the key")
 	}
 }
