@@ -28,12 +28,23 @@ func BenchmarkReduceLarge(b *testing.B) {
 }
 
 // BenchmarkLayer times single layers of a compile on the ReduceLarge
-// graph's register order: the candidate width primitive and the committed
-// prioritized matching.
+// graph's register order: the candidate width primitive, the committed
+// prioritized matching, a register build with kill selection and the
+// excess-set search.
 func BenchmarkLayer(b *testing.B) {
 	for _, n := range Suite() {
 		if strings.HasPrefix(n.Name, "Layer/") {
 			b.Run(strings.TrimPrefix(n.Name, "Layer/"), n.Bench)
+		}
+	}
+}
+
+// BenchmarkSpill times full reductions that commit spills, so the ledger
+// covers the spill-commit path.
+func BenchmarkSpill(b *testing.B) {
+	for _, n := range Suite() {
+		if strings.HasPrefix(n.Name, "Spill/") {
+			b.Run(strings.TrimPrefix(n.Name, "Spill/"), n.Bench)
 		}
 	}
 }
@@ -84,6 +95,20 @@ func TestModesAgree(t *testing.T) {
 				i, rep.Iterations, rep.SpillsInserted, refIters, refSpills)
 		}
 	}
+}
+
+// TestSpillRowCommitsSpills ensures the Spill row's reduction commits
+// several spills, so the row covers the spill-commit path.
+func TestSpillRowCommitsSpills(t *testing.T) {
+	g, m := spillBlock()
+	rep, err := core.Run(g, core.Options{Machine: m, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SpillsInserted < 2 {
+		t.Fatalf("spill workload committed %d spills, want several", rep.SpillsInserted)
+	}
+	t.Logf("spill workload commits %d spills in %d iterations", rep.SpillsInserted, rep.Iterations)
 }
 
 // TestScoreCandidatesFindsWork ensures the PickBest workload actually has
