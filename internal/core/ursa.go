@@ -512,15 +512,11 @@ func (e *evaluator) collectCandidates(st *iterState, group []Resource) []scored 
 		if res == nil || res.Width <= r.Limit {
 			continue
 		}
-		sets := measure.FindExcess(res, st.hammocks, r.Limit)
-		if len(sets) == 0 {
-			continue
-		}
-		targets := []*measure.ExcessSet{sets[0]}
-		if len(sets) > 1 {
-			targets = append(targets, sets[len(sets)-1])
-		}
-		for _, set := range targets {
+		inner, outer := measure.InnerOuter(res, st.hammocks, r.Limit, &e.excess)
+		for _, set := range [2]*measure.ExcessSet{inner, outer} {
+			if set == nil {
+				continue
+			}
 			if r.Spec.Values {
 				if !opts.DisableSequencing {
 					for _, c := range transform.RegSeqCandidates(g, reach, st.depths, res, set) {

@@ -13,6 +13,7 @@ package measure
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -127,16 +128,43 @@ func (e *ExcessSet) String() string {
 // smallest first; the returned sets follow that order, so the first entry
 // is the most local region needing transformation.
 func FindExcess(res *Result, hammocks []*dag.Hammock, limit int) []*ExcessSet {
+	var s ExcessScratch
 	var sets []*ExcessSet
 	for _, h := range hammocks {
-		if set := excessInHammock(res, h, limit); set != nil {
+		if set := excessInHammock(res, h, limit, &s); set != nil {
 			sets = append(sets, set)
 		}
 	}
 	return sets
 }
 
-func excessInHammock(res *Result, h *dag.Hammock, limit int) *ExcessSet {
+// InnerOuter returns the first and the last of FindExcess's sets — the
+// innermost and the outermost excessive chain set — without building the
+// ones between: it scans the hammocks forward to the first set, then
+// backward to the first set beyond it. outer is nil when there is only
+// one set, and both are nil when there is none.
+func InnerOuter(res *Result, hammocks []*dag.Hammock, limit int, s *ExcessScratch) (inner, outer *ExcessSet) {
+	for i, h := range hammocks {
+		if inner = excessInHammock(res, h, limit, s); inner == nil {
+			continue
+		}
+		for j := len(hammocks) - 1; j > i; j-- {
+			if outer = excessInHammock(res, hammocks[j], limit, s); outer != nil {
+				break
+			}
+		}
+		return inner, outer
+	}
+	return nil, nil
+}
+
+// ExcessScratch holds the comparability bitsets behind the head/tail trim,
+// reused across calls. The zero value is ready to use.
+type ExcessScratch struct {
+	words []uint64
+}
+
+func excessInHammock(res *Result, h *dag.Hammock, limit int, s *ExcessScratch) *ExcessSet {
 	r := res.R
 	// Project each chain onto the hammock interior (excluding the hammock's
 	// own entry/exit pseudo endpoints when they are root/leaf). Count the
@@ -172,64 +200,131 @@ func excessInHammock(res *Result, h *dag.Hammock, limit int) *ExcessSet {
 			proj = append(proj, buf[start:end:end])
 		}
 	}
+	if n := trim(proj, r.Rel, s); n > limit {
+		return &ExcessSet{Hammock: h, Chains: proj[:n], Limit: limit}
+	}
+	return nil
+}
 
-	// Independence is judged in the resource's own partial order (Def. 6):
-	// two items are independent iff neither can reuse the other's resource
-	// instance, i.e. they can hold instances simultaneously.
-	rel := r.Rel
-
-	// Trim heads that other heads depend on, and tails that depend on other
-	// tails, until all heads and all tails are mutually independent
-	// (paper §3.1's example procedure). The reuse-order ancestor head is
-	// removed; the reuse-order descendant tail is removed.
-	for changed := true; changed; {
-		changed = false
-		// Heads.
-		for i := 0; i < len(proj) && !changed; i++ {
-			for j := 0; j < len(proj) && !changed; j++ {
-				if i == j {
-					continue
-				}
-				hi, hj := proj[i][0], proj[j][0]
-				if rel.Comparable(hi, hj) {
-					vic := i // remove the earlier (ancestor) head
-					if rel.Has(hj, hi) {
-						vic = j
-					}
-					proj[vic] = proj[vic][1:]
-					if len(proj[vic]) == 0 {
-						proj = append(proj[:vic], proj[vic+1:]...)
-					}
-					changed = true
-				}
+// trim trims heads that other heads depend on, and tails that depend on
+// other tails, until all heads and all tails are mutually independent
+// (paper §3.1's example procedure), and compacts the surviving chains, in
+// order, to the front of proj; it returns their number. Independence is
+// judged in the resource's own partial order rel (Def. 6): two items are
+// independent iff neither can reuse the other's resource instance, i.e.
+// they can hold instances simultaneously. The reuse-order ancestor head is
+// removed; the reuse-order descendant tail is removed.
+//
+// Each step trims the first comparable pair of heads (i < j, in chain
+// order), or, when the heads are independent, the first comparable pair of
+// tails, and an emptied chain drops out. The pairs are read off per-chain
+// comparability bitsets, one row per chain for the heads and one for the
+// tails, and a trim refreshes only the trimmed chain's row and column, so
+// a step costs O(n) comparisons for n chains instead of a rescan of all
+// pairs.
+func trim(proj []order.Chain, rel *order.Relation, s *ExcessScratch) int {
+	n := len(proj)
+	w := (n + 63) / 64
+	if cap(s.words) < 2*n*w {
+		s.words = make([]uint64, 2*n*w)
+	}
+	heads, tails := comparability{s.words[:n*w], w}, comparability{s.words[n*w : 2*n*w], w}
+	clear(s.words[:2*n*w])
+	head := func(c order.Chain) int { return c[0] }
+	tail := func(c order.Chain) int { return c[len(c)-1] }
+	for i := range proj {
+		for j := i + 1; j < n; j++ {
+			if rel.Comparable(head(proj[i]), head(proj[j])) {
+				heads.set(i, j)
+			}
+			if rel.Comparable(tail(proj[i]), tail(proj[j])) {
+				tails.set(i, j)
 			}
 		}
-		if changed {
+	}
+	// refresh recomputes chain v's row and column of m, or, once v is
+	// empty, clears them in both matrices.
+	refresh := func(m comparability, v int, end func(order.Chain) int) {
+		if len(proj[v]) == 0 {
+			heads.drop(v, n)
+			tails.drop(v, n)
+			return
+		}
+		for x := range proj {
+			if x != v && len(proj[x]) > 0 && rel.Comparable(end(proj[v]), end(proj[x])) {
+				m.set(v, x)
+			} else {
+				m.unset(v, x)
+			}
+		}
+	}
+	for {
+		if i, j, ok := heads.first(n); ok {
+			vic := i // remove the earlier (ancestor) head
+			if rel.Has(head(proj[j]), head(proj[i])) {
+				vic = j
+			}
+			proj[vic] = proj[vic][1:]
+			refresh(heads, vic, head)
 			continue
 		}
-		// Tails.
-		for i := 0; i < len(proj) && !changed; i++ {
-			for j := 0; j < len(proj) && !changed; j++ {
-				if i == j {
-					continue
-				}
-				ti, tj := proj[i][len(proj[i])-1], proj[j][len(proj[j])-1]
-				if rel.Comparable(ti, tj) {
-					vic := j // remove the later (descendant) tail
-					if rel.Has(tj, ti) {
-						vic = i
-					}
-					proj[vic] = proj[vic][:len(proj[vic])-1]
-					if len(proj[vic]) == 0 {
-						proj = append(proj[:vic], proj[vic+1:]...)
-					}
-					changed = true
-				}
+		if i, j, ok := tails.first(n); ok {
+			vic := j // remove the later (descendant) tail
+			if rel.Has(tail(proj[j]), tail(proj[i])) {
+				vic = i
+			}
+			proj[vic] = proj[vic][:len(proj[vic])-1]
+			refresh(tails, vic, tail)
+			continue
+		}
+		break
+	}
+	k := 0
+	for _, c := range proj {
+		if len(c) > 0 {
+			proj[k] = c
+			k++
+		}
+	}
+	return k
+}
+
+// A comparability matrix holds one bitset row of w words per chain: bit j
+// of row i is set iff chain i's end is comparable with chain j's. It is
+// symmetric.
+type comparability struct {
+	bits []uint64
+	w    int
+}
+
+func (m comparability) set(i, j int) {
+	m.bits[i*m.w+j>>6] |= 1 << (j & 63)
+	m.bits[j*m.w+i>>6] |= 1 << (i & 63)
+}
+
+func (m comparability) unset(i, j int) {
+	m.bits[i*m.w+j>>6] &^= 1 << (j & 63)
+	m.bits[j*m.w+i>>6] &^= 1 << (i & 63)
+}
+
+// drop clears chain v's row and column.
+func (m comparability) drop(v, n int) {
+	clear(m.bits[v*m.w : (v+1)*m.w])
+	for x := 0; x < n; x++ {
+		m.bits[x*m.w+v>>6] &^= 1 << (v & 63)
+	}
+}
+
+// first returns the first comparable pair (i, j) in row-major order: i is
+// the first chain with a comparable partner and j its first partner, so
+// i < j by symmetry.
+func (m comparability) first(n int) (i, j int, ok bool) {
+	for i = 0; i < n; i++ {
+		for k, x := range m.bits[i*m.w : (i+1)*m.w] {
+			if x != 0 {
+				return i, k<<6 | bits.TrailingZeros64(x), true
 			}
 		}
 	}
-	if len(proj) <= limit {
-		return nil
-	}
-	return &ExcessSet{Hammock: h, Chains: proj, Limit: limit}
+	return 0, 0, false
 }

@@ -107,7 +107,7 @@ var builders = sync.Pool{New: func() any { return new(Builder) }}
 func (s *Spec) Build(g *dag.Graph, reach *order.Relation, depth []int) *Reuse {
 	b := builders.Get().(*Builder)
 	defer builders.Put(b)
-	built, _ := b.Build(g, s, reach, depth, nil)
+	built, _ := b.Build(g, s, reach, depth, nil, nil)
 	r := *built
 	// The result keeps the storage it was built in.
 	b.out, b.items, b.rel, b.kill = Reuse{}, nil, nil, nil
