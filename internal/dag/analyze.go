@@ -21,7 +21,8 @@ func (g *Graph) Reach() *order.Relation {
 // regardless).
 func (g *Graph) CriticalPath(latency func(*Node) int) int {
 	var s Scratch
-	return g.CriticalPathLen(latency, &s)
+	_, crit := g.PathsInto(latency, &s)
+	return crit
 }
 
 // UnitLatency assigns every instruction one cycle; the default critical-path
@@ -33,5 +34,6 @@ func UnitLatency(*Node) int { return 1 }
 // heuristics of §4.
 func (g *Graph) Depths() []int {
 	var s Scratch
-	return g.DepthsInto(&s)
+	depths, _ := g.PathsInto(nil, &s)
+	return depths
 }

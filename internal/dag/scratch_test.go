@@ -56,12 +56,59 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		if got, want := slices.Clone(g.TopoInto(&s)), g.TopoInto(new(Scratch)); !slices.Equal(got, want) {
 			t.Fatalf("step %d (%d instrs): reused topo %v, fresh %v", step, n, got, want)
 		}
-		if got, want := slices.Clone(g.DepthsInto(&s)), g.DepthsInto(new(Scratch)); !slices.Equal(got, want) {
-			t.Fatalf("step %d (%d instrs): reused depths %v, fresh %v", step, n, got, want)
-		}
 		for _, l := range []func(*Node) int{lat, UnitLatency, nil} {
-			if got, want := g.CriticalPathLen(l, &s), g.CriticalPathLen(l, new(Scratch)); got != want {
-				t.Fatalf("step %d (%d instrs): reused critical path %d, fresh %d", step, n, got, want)
+			depths, crit := g.PathsInto(l, &s)
+			depths = slices.Clone(depths)
+			wantDepths, wantCrit := g.PathsInto(l, new(Scratch))
+			if !slices.Equal(depths, wantDepths) {
+				t.Fatalf("step %d (%d instrs): reused depths %v, fresh %v", step, n, depths, wantDepths)
+			}
+			if crit != wantCrit {
+				t.Fatalf("step %d (%d instrs): reused critical path %d, fresh %d", step, n, crit, wantCrit)
+			}
+		}
+	}
+}
+
+// sortedPaths is the longest-path pass PathsInto replaced, kept as the
+// reference: depths and the critical path relaxed over TopoInto's
+// id-sorted order, one pass each.
+func sortedPaths(g *Graph, latency func(*Node) int) ([]int, int) {
+	var s Scratch
+	topo := g.TopoInto(&s)
+	depth := resetUnreached(nil, len(g.Nodes))
+	dist := resetUnreached(nil, len(g.Nodes))
+	depth[g.Root], dist[g.Root] = 0, 0
+	for _, a := range topo {
+		if depth[a] == unreached {
+			continue
+		}
+		la := 0
+		if !g.Nodes[a].IsPseudo() && latency != nil {
+			la = latency(g.Nodes[a])
+		}
+		for _, b := range g.succ[a] {
+			depth[b] = max(depth[b], depth[a]+1)
+			dist[b] = max(dist[b], dist[a]+la)
+		}
+	}
+	return depth, max(dist[g.Leaf], 0)
+}
+
+// TestPathsMatchSortedOrder: the one unsorted pass finds the depths and
+// critical path the id-sorted order finds, on random graphs with
+// sequencing edges, for several latency models.
+func TestPathsMatchSortedOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	lat := func(n *Node) int { return 1 + int(n.Instr.Op)%3 }
+	var s Scratch
+	for trial := 0; trial < 60; trial++ {
+		g := randomGraph(t, rng, rng.Intn(80))
+		for _, l := range []func(*Node) int{lat, UnitLatency, nil} {
+			depths, crit := g.PathsInto(l, &s)
+			wantDepths, wantCrit := sortedPaths(g, l)
+			if !slices.Equal(depths, wantDepths) || crit != wantCrit {
+				t.Fatalf("trial %d: depths %v crit %d, sorted order %v %d", trial, depths, crit, wantDepths, wantCrit)
 			}
 		}
 	}
