@@ -120,14 +120,8 @@ func ProfileRun(g *Graph, init *ir.State, maxSteps int) (*Profile, error) {
 				return nil, ir.ErrStepLimit
 			}
 			switch in.Op {
-			case ir.Br:
-				next = g.Index(in.Sym)
-			case ir.BrTrue:
-				if st.Regs[in.Args[0]].Int() != 0 {
-					next = g.Index(in.Sym)
-				}
-			case ir.BrFalse:
-				if st.Regs[in.Args[0]].Int() == 0 {
+			case ir.Br, ir.BrTrue, ir.BrFalse:
+				if st.Taken(in) {
 					next = g.Index(in.Sym)
 				}
 			case ir.Ret:

@@ -109,6 +109,8 @@ func (fp *FuncProgram) RunInOrder(init *ir.State, maxCycles int) (*FuncResult, e
 	return fp.run(vliwsim.RunInOrder, init, maxCycles)
 }
 
+// run chains block exits on one copy of init, which every block's
+// simulation updates in place.
 func (fp *FuncProgram) run(sim func(*assign.Program, *ir.State) (*vliwsim.Result, error), init *ir.State, maxCycles int) (*FuncResult, error) {
 	res := &FuncResult{State: init.Clone()}
 	cur := 0
@@ -120,7 +122,6 @@ func (fp *FuncProgram) run(sim func(*assign.Program, *ir.State) (*vliwsim.Result
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: block %s: %w", fp.Source.Blocks[cur].Label, err)
 		}
-		res.State = r.State
 		res.Cycles += r.Cycles
 		res.Issued += r.Issued
 		res.SpillOps += r.SpillOps

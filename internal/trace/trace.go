@@ -261,9 +261,7 @@ func Reference(t *Trace, init *ir.State) (*ir.State, string, error) {
 		for _, in := range blk.Instrs {
 			switch in.Op {
 			case ir.Br, ir.BrTrue, ir.BrFalse:
-				taken := in.Op == ir.Br ||
-					(in.Op == ir.BrTrue && st.Regs[in.Args[0]].Int() != 0) ||
-					(in.Op == ir.BrFalse && st.Regs[in.Args[0]].Int() == 0)
+				taken := st.Taken(in)
 				var dest int
 				if taken {
 					dest = g.Index(in.Sym)
@@ -332,7 +330,7 @@ func Verify(prog *assign.Program, t *Trace, init *ir.State) (*vliwsim.Result, er
 	if err != nil {
 		return nil, err
 	}
-	res, err := vliwsim.Run(prog, init)
+	res, err := vliwsim.Run(prog, init.Clone())
 	if err != nil {
 		return nil, err
 	}

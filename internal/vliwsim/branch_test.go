@@ -1,11 +1,13 @@
 package vliwsim
 
 import (
+	"fmt"
 	"testing"
 
 	"ursa/internal/assign"
 	"ursa/internal/ir"
 	"ursa/internal/machine"
+	"ursa/internal/target"
 )
 
 // buildBranchy assembles a hand-written program: word 0 computes a
@@ -216,5 +218,38 @@ func TestRunInOrderStoreLoadOrdering(t *testing.T) {
 	}
 	if got := res.State.Mem[ir.Addr{Sym: "O"}].Int(); got != 99 {
 		t.Errorf("O = %d, want 99 (load bypassed in-flight store)", got)
+	}
+}
+
+// TestRunInOrderClusteredUnits: a clustered machine's unit limit is per
+// cluster. With cluster 0's two ALUs taken, the two independent ALU ops on
+// cluster 1 still issue in the same cycle on the in-order model, exactly
+// as they do as one VLIW word.
+func TestRunInOrderClusteredUnits(t *testing.T) {
+	m := target.ByName("clus2x2x4").Config
+	pf := ir.NewFunc("clustered")
+	var word []*ir.Instr
+	for i := 0; i < 4; i++ {
+		r := pf.NewReg(fmt.Sprintf("r%d", i), ir.ClassInt)
+		word = append(word, &ir.Instr{Op: ir.ConstI, Dst: r, Imm: int64(i + 1), Cluster: uint8(i / 2)})
+	}
+	prog := &assign.Program{Func: pf, Machine: m, Words: [][]*ir.Instr{word}}
+	for _, run := range []struct {
+		name string
+		sim  func(*assign.Program, *ir.State) (*Result, error)
+	}{{"Run", Run}, {"RunInOrder", RunInOrder}} {
+		res, err := run.sim(prog, ir.NewState())
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if res.Cycles != 1 || res.MaxBusy[machine.ANY] != 2 {
+			t.Errorf("%s: %d cycles, %d ALUs busy at once; want 1 cycle, 2 per cluster",
+				run.name, res.Cycles, res.MaxBusy[machine.ANY])
+		}
+		for i, in := range word {
+			if got := res.State.Regs[in.Dst].Int(); got != int64(i+1) {
+				t.Errorf("%s: r%d = %d, want %d", run.name, i, got, i+1)
+			}
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"ursa/internal/assign"
 	"ursa/internal/ir"
-	"ursa/internal/machine"
 )
 
 // RunInOrder executes the program's instructions in linear (flattened word)
@@ -13,165 +12,58 @@ import (
 // machine fetches a sequential stream and issues up to the unit limits per
 // cycle, stalling on RAW interlocks, structural hazards, and memory
 // conflicts instead of relying on compiler-guaranteed word parallelism.
-// Register WAR/WAW hazards do not stall (in-order issue with in-order
-// writeback per register makes them safe at distinct cycles; same-cycle
-// cases are excluded by the RAW/issue rules below).
+// A write waits for the register's earlier write (WAW); register WAR
+// hazards do not stall, since operands are read at issue. Like Run, it
+// executes on st and returns it as the result's State.
 //
 // The code quality question this answers: does the *order* a pipeline
 // emits still matter when the hardware interlocks? (Paper §6: "Extensions
 // to handle the problems caused by interlocks in pipelines are also being
 // developed, so that superscalar architectures can be targeted.")
-func RunInOrder(p *assign.Program, init *ir.State) (*Result, error) {
+func RunInOrder(p *assign.Program, st *ir.State) (*Result, error) {
 	m := p.Machine
-	st := init.Clone()
-	res := &Result{State: st, MaxBusy: map[machine.FUClass]int{}}
-
+	s := newSim(p, st)
 	seq := p.Instrs()
-	readyAt := map[ir.VReg]int{}    // register -> cycle its value commits
-	writeBusy := map[ir.VReg]int{}  // register -> last pending write commit
-	memReady := map[string]int{}    // symbol -> cycle last store commits
-	memLastRead := map[string]int{} // symbol -> last load issue cycle
-	busyUntil := map[machine.FUClass][]int{}
+	readyAt := map[ir.VReg]int{} // register -> cycle its last pending write commits
+	memReady := map[string]int{} // symbol -> cycle its last pending store commits
 
-	var regWrites []pendingWrite
-	var memWrites []pendingStore
-	commit := func(cycle int) {
-		for i := 0; i < len(regWrites); {
-			if regWrites[i].at <= cycle {
-				st.Regs[regWrites[i].reg] = regWrites[i].val
-				regWrites = append(regWrites[:i], regWrites[i+1:]...)
-			} else {
-				i++
+	// interlocked reports a RAW hazard on an operand, a WAW hazard on the
+	// destination, or a memory access to a symbol with a store in flight.
+	interlocked := func(in *ir.Instr, cycle int) bool {
+		for _, u := range in.Uses() {
+			if readyAt[u] > cycle {
+				return true
 			}
 		}
-		for i := 0; i < len(memWrites); {
-			if memWrites[i].at <= cycle {
-				st.Mem[memWrites[i].addr] = memWrites[i].val
-				memWrites = append(memWrites[:i], memWrites[i+1:]...)
-			} else {
-				i++
-			}
-		}
+		return in.Dst != ir.NoReg && readyAt[in.Dst] > cycle ||
+			in.IsMem() && memReady[in.Sym] > cycle
 	}
 
-	cycle := 0
-	idx := 0
-	guard := 0
-	for idx < len(seq) {
-		if guard++; guard > 64*len(seq)+1024 {
+	cycle, idx := 0, 0
+	for ; idx < len(seq); cycle++ {
+		if cycle >= 64*len(seq)+1024 {
 			return nil, fmt.Errorf("vliwsim: in-order execution stalled at instruction %d", idx)
 		}
-		commit(cycle)
-		issuedThisCycle := 0
-		for idx < len(seq) {
-			if m.IssueWidth > 0 && issuedThisCycle >= m.IssueWidth {
-				break // fetch bound: the rest of the stream waits a cycle
-			}
+		s.commit(cycle)
+		// In order: the head of the stream blocks everything behind it,
+		// and fetch issues at most IssueWidth instructions a cycle.
+		for issued := 0; idx < len(seq) && (m.IssueWidth <= 0 || issued < m.IssueWidth); issued++ {
 			in := seq[idx]
-			cl := m.ClassFor(in.Kind())
-			lat := m.LatencyOf(in.Op)
-
-			// RAW interlock: all operands must have committed.
-			stall := false
-			for _, u := range in.Uses() {
-				if readyAt[u] > cycle {
-					stall = true
-					break
-				}
+			if interlocked(in, cycle) || s.busy(in, cycle) >= m.Units.Get(m.ClassFor(in.Kind())) {
+				break
 			}
-			// WAW on the same register: wait for the earlier write.
-			if !stall && in.Dst != ir.NoReg && writeBusy[in.Dst] > cycle {
-				stall = true
-			}
-			// Memory: loads wait for earlier stores to the symbol; stores
-			// wait for earlier stores and must not bypass reads issued
-			// this very cycle.
-			if !stall && in.IsMem() {
-				if memReady[in.Sym] > cycle {
-					stall = true
-				}
-				if in.IsStore() && memLastRead[in.Sym] >= cycle {
-					// Same-cycle read of the old value is fine on real
-					// hardware (read at issue, write at commit), so only
-					// future reads matter; no stall needed here.
-					stall = stall || false
-				}
-			}
-			// Structural hazard: a unit of the class must be free.
-			unitFree := false
-			if !stall {
-				inUse := 0
-				for _, until := range busyUntil[cl] {
-					if until > cycle {
-						inUse++
-					}
-				}
-				unitFree = inUse < m.Units.Get(cl)
-				if inUse+1 > res.MaxBusy[cl] && unitFree {
-					res.MaxBusy[cl] = inUse + 1
-				}
-			}
-			if stall || !unitFree {
-				break // in-order: the head of the stream blocks everything
-			}
-
-			// Issue.
-			busyUntil[cl] = append(busyUntil[cl], cycle+m.OccupancyOf(in.Op))
-			switch {
-			case in.IsBranch():
-				taken := in.Op == ir.Br ||
-					(in.Op == ir.BrTrue && st.Regs[in.Args[0]].Int() != 0) ||
-					(in.Op == ir.BrFalse && st.Regs[in.Args[0]].Int() == 0) ||
-					in.Op == ir.Ret
-				res.Issued++
-				idx++
-				if taken {
-					switch in.Op {
-					case ir.Ret:
-						res.Exit = "ret"
-					default:
-						res.Exit = in.Sym
-					}
-					idx = len(seq)
-				}
-				if cycle+lat > res.Cycles {
-					res.Cycles = cycle + lat
-				}
-				issuedThisCycle++
-				continue
-			case in.Dst != ir.NoReg:
-				scratch := &ir.State{Regs: map[ir.VReg]ir.Word{}, Mem: st.Mem}
-				for k, v := range st.Regs {
-					scratch.Regs[k] = v
-				}
-				scratch.Exec(p.Func, in)
-				regWrites = append(regWrites, pendingWrite{cycle + lat, in.Dst, scratch.Regs[in.Dst]})
-				readyAt[in.Dst] = cycle + lat
-				writeBusy[in.Dst] = cycle + lat
-				if in.IsLoad() {
-					memLastRead[in.Sym] = cycle
-				}
-			case in.IsStore():
-				addr := effAddr(st, in)
-				memWrites = append(memWrites, pendingStore{cycle + lat, addr, st.Regs[in.Args[0]]})
-				memReady[in.Sym] = cycle + lat
-			}
-			res.Issued++
-			if in.Op == ir.SpillStore || in.Op == ir.SpillLoad {
-				res.SpillOps++
-			}
-			if cycle+lat > res.Cycles {
-				res.Cycles = cycle + lat
-			}
-			issuedThisCycle++
 			idx++
+			if s.issue(in, cycle) {
+				idx = len(seq)
+			}
+			at := cycle + m.LatencyOf(in.Op)
+			if in.Dst != ir.NoReg {
+				readyAt[in.Dst] = at
+			}
+			if in.IsStore() {
+				memReady[in.Sym] = at
+			}
 		}
-		_ = issuedThisCycle
-		cycle++
 	}
-	commit(res.Cycles)
-	if cycle > res.Cycles {
-		res.Cycles = cycle
-	}
-	return res, nil
+	return s.finish(cycle), nil
 }

@@ -19,7 +19,8 @@ type Result struct {
 	Cycles int
 	Issued int
 	State  *ir.State
-	// MaxBusy is the peak number of simultaneously busy units per FU class.
+	// MaxBusy is the peak number of simultaneously busy units per FU class
+	// (on one cluster, for the replicated classes of a clustered machine).
 	MaxBusy map[machine.FUClass]int
 	// Exit records how control left the program: "" for fall-through,
 	// "ret" for a return, otherwise the taken branch's target label.
@@ -38,149 +39,165 @@ func (r *Result) Utilization() float64 {
 	return float64(r.Issued) / float64(r.Cycles)
 }
 
+// A pendingWrite is a result in flight: a register write, or a store when
+// reg is NoReg.
 type pendingWrite struct {
-	at  int
-	reg ir.VReg
-	val ir.Word
-}
-
-type pendingStore struct {
 	at   int
+	reg  ir.VReg
 	addr ir.Addr
 	val  ir.Word
 }
 
-// Run executes the program against a copy of the initial state and returns
-// the final state. It fails if any cycle over-subscribes a functional-unit
-// class (non-pipelined occupancy) — emitted code must never do that.
-func Run(p *assign.Program, init *ir.State) (*Result, error) {
+// unitKey names one pool of functional units: clustered machines replicate
+// their classes per cluster, except the machine-wide XFER bus (cluster 0).
+type unitKey struct {
+	cl      machine.FUClass
+	cluster uint8
+}
+
+// sim is the execution core both machine models share: the simulated
+// state, the writes still in flight, unit occupancy and the running
+// result. The models differ only in which instruction they issue when.
+type sim struct {
+	p         *assign.Program
+	st        *ir.State
+	res       *Result
+	pending   []pendingWrite    // in issue order
+	busyUntil map[unitKey][]int // per unit pool: the busy-until cycle of each claim
+}
+
+func newSim(p *assign.Program, st *ir.State) *sim {
+	return &sim{p: p, st: st, res: &Result{State: st, MaxBusy: map[machine.FUClass]int{}},
+		busyUntil: map[unitKey][]int{}}
+}
+
+// commit lands every pending write due by cycle, in issue order.
+func (s *sim) commit(cycle int) {
+	live := s.pending[:0]
+	for _, w := range s.pending {
+		switch {
+		case w.at > cycle:
+			live = append(live, w)
+		case w.reg != ir.NoReg:
+			s.st.Regs[w.reg] = w.val
+		default:
+			s.st.Mem[w.addr] = w.val
+		}
+	}
+	s.pending = live
+}
+
+// unit returns the pool of units in issues on.
+func (s *sim) unit(in *ir.Instr) unitKey {
+	m := s.p.Machine
+	k := unitKey{cl: m.ClassFor(in.Kind())}
+	if m.Clusters > 1 && k.cl != machine.XFER {
+		k.cluster = in.Cluster
+	}
+	return k
+}
+
+// busy returns how many units of in's pool are occupied at cycle. Cycles
+// never go back, so claims that have expired are dropped.
+func (s *sim) busy(in *ir.Instr, cycle int) int {
+	k := s.unit(in)
+	live := s.busyUntil[k][:0]
+	for _, until := range s.busyUntil[k] {
+		if until > cycle {
+			live = append(live, until)
+		}
+	}
+	s.busyUntil[k] = live
+	return len(live)
+}
+
+// issue executes in at cycle on a unit of its pool, which the caller has
+// found free (see busy). Reads see the committed state of this cycle;
+// register and memory results land after the operation's latency. It
+// reports whether in is a taken branch.
+func (s *sim) issue(in *ir.Instr, cycle int) (taken bool) {
+	m, st, res := s.p.Machine, s.st, s.res
+	k := s.unit(in)
+	s.busyUntil[k] = append(s.busyUntil[k], cycle+m.OccupancyOf(in.Op))
+	res.MaxBusy[k.cl] = max(res.MaxBusy[k.cl], len(s.busyUntil[k]))
+	at := cycle + m.LatencyOf(in.Op)
+	switch {
+	case in.IsBranch():
+		if taken = st.Taken(in); taken {
+			res.Exit = in.Sym
+			if in.Op == ir.Ret {
+				res.Exit = "ret"
+			}
+		}
+	case in.Dst != ir.NoReg:
+		// Compute the result in place, then restore the destination: the
+		// write is delayed by the latency.
+		old, had := st.Regs[in.Dst]
+		st.Exec(s.p.Func, in)
+		s.pending = append(s.pending, pendingWrite{at: at, reg: in.Dst, val: st.Regs[in.Dst]})
+		if had {
+			st.Regs[in.Dst] = old
+		} else {
+			delete(st.Regs, in.Dst)
+		}
+	case in.IsStore():
+		s.pending = append(s.pending,
+			pendingWrite{at: at, reg: ir.NoReg, addr: st.EffAddr(in), val: st.Regs[in.Args[0]]})
+	}
+	res.Issued++
+	if in.Op == ir.SpillStore || in.Op == ir.SpillLoad {
+		res.SpillOps++
+	}
+	res.Cycles = max(res.Cycles, at)
+	return taken
+}
+
+// finish drains the writes still in flight and returns the result, which
+// lasts at least minCycles.
+func (s *sim) finish(minCycles int) *Result {
+	s.commit(s.res.Cycles)
+	s.res.Cycles = max(s.res.Cycles, minCycles)
+	return s.res
+}
+
+// Run executes the program on st, which it updates in place and returns
+// as the result's State. It fails if any cycle exceeds the issue width or
+// over-subscribes a functional-unit pool (non-pipelined occupancy), or, on
+// a clustered machine, breaks cluster register ownership — emitted code
+// must never do any of these.
+func Run(p *assign.Program, st *ir.State) (*Result, error) {
 	m := p.Machine
-	st := init.Clone()
-	res := &Result{State: st, MaxBusy: map[machine.FUClass]int{}}
-
-	var regWrites []pendingWrite
-	var memWrites []pendingStore
-	// Units audit per (class, cluster): clustered machines replicate their
-	// classes per cluster, except the machine-wide XFER bus (cluster key 0).
-	type unitKey struct {
-		cl      machine.FUClass
-		cluster uint8
+	s := newSim(p, st)
+	var regCluster map[ir.VReg]uint8
+	if m.Clusters > 1 {
+		regCluster = map[ir.VReg]uint8{}
 	}
-	busyUntil := map[unitKey][]int{} // per issued op: busy-until cycle
-	regCluster := map[ir.VReg]uint8{}
-	clustered := m.Clusters > 1
-	totalCycles := len(p.Words)
-
-	commit := func(cycle int) {
-		for i := 0; i < len(regWrites); {
-			if regWrites[i].at <= cycle {
-				st.Regs[regWrites[i].reg] = regWrites[i].val
-				regWrites = append(regWrites[:i], regWrites[i+1:]...)
-			} else {
-				i++
-			}
-		}
-		for i := 0; i < len(memWrites); {
-			if memWrites[i].at <= cycle {
-				st.Mem[memWrites[i].addr] = memWrites[i].val
-				memWrites = append(memWrites[:i], memWrites[i+1:]...)
-			} else {
-				i++
-			}
-		}
-	}
-
 	taken := false
-	for cycle := 0; cycle < totalCycles && !taken; cycle++ {
-		commit(cycle)
+	for cycle := 0; cycle < len(p.Words) && !taken; cycle++ {
+		s.commit(cycle)
 		if m.IssueWidth > 0 && len(p.Words[cycle]) > m.IssueWidth {
 			return nil, fmt.Errorf("vliwsim: cycle %d issues %d instructions, issue width is %d",
 				cycle, len(p.Words[cycle]), m.IssueWidth)
 		}
+		// Instruction words after a taken branch are squashed; the rest of
+		// the branch's own word still issues.
 		for _, in := range p.Words[cycle] {
 			cl := m.ClassFor(in.Kind())
-			lat := m.LatencyOf(in.Op)
-			key := unitKey{cl: cl}
-			if clustered && cl != machine.XFER {
-				key.cluster = in.Cluster
-			}
-			// Unit-occupancy check (whole latency unless pipelined).
-			inUse := 0
-			for _, until := range busyUntil[key] {
-				if until > cycle {
-					inUse++
-				}
-			}
-			if inUse >= m.Units.Get(cl) {
+			if inUse := s.busy(in, cycle); inUse >= m.Units.Get(cl) {
 				return nil, fmt.Errorf("vliwsim: cycle %d over-subscribes %s units (%d busy of %d)",
 					cycle, cl, inUse, m.Units.Get(cl))
 			}
-			busyUntil[key] = append(busyUntil[key], cycle+m.OccupancyOf(in.Op))
-			if inUse+1 > res.MaxBusy[cl] {
-				res.MaxBusy[cl] = inUse + 1
-			}
-			if clustered {
+			if regCluster != nil {
 				if err := auditCluster(p, in, regCluster, cycle); err != nil {
 					return nil, err
 				}
 			}
-
-			// Execute: reads see the committed state of this cycle; the
-			// result lands after the latency.
-			switch {
-			case in.IsBranch():
-				switch in.Op {
-				case ir.Br:
-					res.Exit = in.Sym
-					taken = true
-				case ir.BrTrue:
-					if st.Regs[in.Args[0]].Int() != 0 {
-						res.Exit = in.Sym
-						taken = true
-					}
-				case ir.BrFalse:
-					if st.Regs[in.Args[0]].Int() == 0 {
-						res.Exit = in.Sym
-						taken = true
-					}
-				case ir.Ret:
-					res.Exit = "ret"
-					taken = true
-				}
-			case in.Dst != ir.NoReg:
-				// Compute into a scratch state to delay the writeback.
-				scratch := &ir.State{Regs: map[ir.VReg]ir.Word{}, Mem: st.Mem}
-				for k, v := range st.Regs {
-					scratch.Regs[k] = v
-				}
-				scratch.Exec(p.Func, in)
-				regWrites = append(regWrites, pendingWrite{cycle + lat, in.Dst, scratch.Regs[in.Dst]})
-			case in.IsStore():
-				addr := effAddr(st, in)
-				memWrites = append(memWrites, pendingStore{cycle + lat, addr, st.Regs[in.Args[0]]})
-			}
-			res.Issued++
-			if in.Op == ir.SpillStore || in.Op == ir.SpillLoad {
-				res.SpillOps++
-			}
-			if cycle+lat > res.Cycles {
-				res.Cycles = cycle + lat
+			if s.issue(in, cycle) {
+				taken = true
 			}
 		}
 	}
-	commit(res.Cycles)
-	if res.Cycles < totalCycles {
-		res.Cycles = totalCycles
-	}
-	return res, nil
-}
-
-func effAddr(st *ir.State, in *ir.Instr) ir.Addr {
-	off := in.Off
-	if in.Index != ir.NoReg {
-		off += st.Regs[in.Index].Int()
-	}
-	return ir.Addr{Sym: in.Sym, Off: off}
+	return s.finish(len(p.Words)), nil
 }
 
 // Verify runs the program and checks it against the sequential
@@ -195,7 +212,7 @@ func Verify(p *assign.Program, orig *ir.Block, init *ir.State) (*Result, error) 
 		}
 		ref.Exec(orig.Func, in)
 	}
-	res, err := Run(p, init)
+	res, err := Run(p, init.Clone())
 	if err != nil {
 		return nil, err
 	}

@@ -239,7 +239,7 @@ func Emit(g *Graph, m *Machine) (*Program, error) {
 
 // Simulate executes a program on the machine model from a copy of init.
 func Simulate(p *Program, init *State) (*SimResult, error) {
-	return vliwsim.Run(p, init)
+	return vliwsim.Run(p, init.Clone())
 }
 
 // CompileBlock runs one complete pipeline (URSA or a baseline) on a block.
