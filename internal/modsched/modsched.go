@@ -154,7 +154,7 @@ func pipelineLoop(f *ir.Func, l *Loop, m *machine.Config, opts Options) (*LoopRe
 		// improving, larger kernels only raise register pressure, so the
 		// doubling stops there.
 		var best *cand
-		for B := maxInt(sc.stages, 1); B <= opts.MaxUnroll && B*tmplLen <= opts.MaxKernelOps; B *= 2 {
+		for B := max(sc.stages, 1); B <= opts.MaxUnroll && B*tmplLen <= opts.MaxKernelOps; B *= 2 {
 			words, ok := evalCandidate(f, l, B, m)
 			if ok && (best == nil || float64(words)/float64(B) < float64(best.words)/float64(best.B)) {
 				best = &cand{B, words}
@@ -234,11 +234,4 @@ func evalCandidate(f *ir.Func, l *Loop, B int, m *machine.Config) (words int, ok
 		}
 	}
 	return len(prog.Words), true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
