@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"sync"
 	"testing"
 
 	"ursa/internal/core"
@@ -173,6 +174,51 @@ func benchExcess(b *testing.B) {
 	}
 }
 
+// A simRun is one compiled function and the input state it runs from.
+type simRun struct {
+	fp   *pipeline.FuncProgram
+	init *ir.State
+}
+
+// simRuns compiles the Layer/simulate workload once: four suite kernels
+// unrolled twice and the modulo-scheduled saxpy loop, URSA on vliw4x8,
+// each with its seed-1 input state.
+var simRuns = sync.OnceValue(func() []simRun {
+	m := target.ByName("vliw4x8").Config
+	compile := func(name string, unroll int, loop bool) simRun {
+		k := workload.KernelByName(name)
+		u, err := k.Unit(unroll)
+		var fp *pipeline.FuncProgram
+		if err == nil && loop {
+			fp, _, _, err = pipeline.CompileLoopFunc(u.Func, m, pipeline.URSA, pipeline.Options{})
+		} else if err == nil {
+			fp, _, err = pipeline.CompileFunc(u.Func, m, pipeline.URSA, pipeline.Options{})
+		}
+		if err != nil {
+			panic(fmt.Sprintf("bench: %s: %v", name, err))
+		}
+		return simRun{fp, k.State(1)}
+	}
+	return []simRun{compile("fir8", 2, false), compile("dot", 2, false), compile("hydro", 2, false),
+		compile("maxloc", 2, false), compile("saxpy", 1, true)}
+})
+
+// benchSimulate times the simulate layer: FuncProgram.Run, which every
+// run request, Evaluate and the diffexec oracle go through, over the
+// simRuns functions.
+func benchSimulate(b *testing.B) {
+	runs := simRuns()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range runs {
+			if _, err := r.fp.Run(r.init, 10_000_000); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // spillBlock returns the spill-commit workload: the first of the largest
 // blocks of the matmul4 kernel unrolled four times, on the vliw2x4 preset
 // the compile-vliw benchmark pairs it with. Its reduction commits several
@@ -250,6 +296,7 @@ func Suite() []Named {
 		{"Layer/chains", benchChains},
 		{"Layer/kills", benchKills},
 		{"Layer/excess", benchExcess},
+		{"Layer/simulate", benchSimulate},
 		{"Spill/run-matmul4-vliw2x4", benchReduce(sg, sm, core.Options{Workers: 1})},
 		{"Loop/pipeline-saxpy", benchLoopPipeline("saxpy", machine.VLIW(4, 12))},
 		{"Loop/pipeline-stencil3", benchLoopPipeline("stencil3", machine.VLIW(4, 12))},
