@@ -36,11 +36,14 @@ type iterState struct {
 	excess   int
 }
 
-// evaluator scores reduction candidates. One evaluator lives for a whole
-// runOnce: it owns the committed graph's transitive closure (maintained in
-// place across commits), the memoized iteration state of the committed
-// graph, and one reusable scratch per worker, and fans candidates out via
-// internal/driver.
+// evaluator scores reduction candidates. One evaluator lives for one
+// attempt of Run (run.reduce): it owns the committed graph's transitive
+// closure (maintained in place across commits), the memoized iteration
+// state of the committed graph, and one reusable scratch per worker, and
+// fans candidates out via internal/driver. While the attempt replays
+// outcomes an earlier attempt of the same Run stored, the evaluator only
+// commits; its state is derived, and its scratches cloned, at the first
+// state the attempt scores itself.
 //
 // Every candidate, of every kind and on every target family, is scored on
 // one path: copy the committed closure into the worker's scratch, apply
@@ -200,12 +203,14 @@ func (e *evaluator) commit(c *transform.Candidate) error {
 }
 
 // scratch returns worker w's scratch state, cloning the committed graph and
-// its Func on the worker's first use; commit keeps it current from then on.
+// its Func's register tables (Apply reads and allocates registers, never
+// the function body) on the worker's first use; commit keeps it current
+// from then on.
 func (e *evaluator) scratch(w int) *evalScratch {
 	sc := e.scratches[w]
 	if sc == nil {
 		sc = &evalScratch{g: e.g.Clone(), res: make([]reuse.Builder, len(e.resources))}
-		sc.g.Func = e.g.Func.Clone()
+		sc.g.Func = e.g.Func.CloneRegs()
 		e.scratches[w] = sc
 	}
 	return sc

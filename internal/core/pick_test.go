@@ -97,6 +97,16 @@ func TestPickBestTieBreakStyles(t *testing.T) {
 // plateauMachines are heterogeneous configs with a single memory unit:
 // spilling trades register excess for fu.mem excess, which is what makes
 // excess-preserving (plateau) moves appear in real runs.
+// reduceOnce runs one reducing attempt of the style on g itself, with a
+// fresh memo.
+func reduceOnce(g *dag.Graph, opts Options, style scoreStyle) (*Report, error) {
+	r, err := newRun(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return r.reduce(g, style, iterBound(g))
+}
+
 func plateauMachines() []*machine.Config {
 	return []*machine.Config{
 		machine.Heterogeneous(2, 1, 1, 1, 2, 8),
@@ -121,7 +131,7 @@ func TestPlateauMovesAreSpillsAndBounded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := runOnce(g, Options{Machine: m, DisableSequencing: noSeq}, styleDefault, iterBound(g))
+				rep, err := reduceOnce(g, Options{Machine: m, DisableSequencing: noSeq}, styleDefault)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,7 +191,7 @@ func TestStyleDeterminismAcrossWorkers(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rep, err := runOnce(g, opts, style, iterBound(g))
+					rep, err := reduceOnce(g, opts, style)
 					if err != nil {
 						t.Fatalf("trial %d %s style %d variant %d: %v", trial, m.Name, style, vi, err)
 					}

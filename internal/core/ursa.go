@@ -20,6 +20,7 @@ import (
 	"ursa/internal/ir"
 	"ursa/internal/machine"
 	"ursa/internal/measure"
+	"ursa/internal/metrics"
 	"ursa/internal/reuse"
 	"ursa/internal/sched"
 	"ursa/internal/transform"
@@ -286,32 +287,18 @@ func (r *Report) TotalExcess() int {
 // occasionally strand itself with residual excess; Run then retries from
 // the untransformed graph with the aggressive and spill-first tie-breaks
 // and keeps the best outcome, before leaving any remaining excess to the
-// assignment phase (§2).
+// assignment phase (§2). The styles differ only in their tie-break, so
+// until their picks diverge a retry walks committed states an earlier
+// attempt already scored: the attempts share one memo of scored states,
+// and a retry picks from the stored outcomes instead of generating and
+// scoring them again (see memo). Every attempt allocates registers from
+// the table g.Func held on entry, so equal commits name equal registers in
+// every attempt; on return g.Func holds exactly the chosen attempt's
+// registers.
 func Run(g *dag.Graph, opts Options) (*Report, error) {
-	m := opts.Machine
-	if m == nil {
-		return nil, fmt.Errorf("core: no machine configured")
-	}
-	if err := m.Validate(); err != nil {
+	r, err := newRun(g, opts)
+	if err != nil {
 		return nil, err
-	}
-	styles := []scoreStyle{styleDefault, styleAggressive}
-	if !opts.DisableSpills {
-		styles = append(styles, styleSpillFirst)
-	}
-	var bestG *dag.Graph
-	var bestRep *Report
-	attempt := func(style scoreStyle, maxIters int) error {
-		cl := g.Clone()
-		rep, err := runOnce(cl, opts, style, maxIters)
-		if err != nil {
-			return err
-		}
-		rep.Program, _, rep.EmitErr = assign.Emit(cl, m, sched.Options{})
-		if bestRep == nil || betterOption(rep, bestRep) {
-			bestG, bestRep = cl, rep
-		}
-		return nil
 	}
 	// §1: "The allocation option that has the best overall effect can then
 	// be selected." The untransformed DAG is itself an option: when the
@@ -319,20 +306,116 @@ func Run(g *dag.Graph, opts Options) (*Report, error) {
 	// the worst-case excess never materializes and transformation would
 	// only lengthen the schedule. When it already fits, no reduction has
 	// anything to commit.
-	if err := attempt(styleDefault, 0); err != nil {
+	if _, err := r.attempt(styleDefault, 0); err != nil {
 		return nil, err
 	}
-	for _, style := range styles {
-		if bestRep.Fits {
+	for _, style := range r.styles() {
+		if r.best.Fits {
 			break
 		}
-		if err := attempt(style, iterBound(g)); err != nil {
+		if _, err := r.attempt(style, iterBound(g)); err != nil {
 			return nil, err
 		}
 	}
-	g.ReplaceWith(bestG)
-	bestRep.ScheduleClean = bestRep.Program != nil && bestRep.Program.Spills == 0
-	return bestRep, nil
+	return r.finish(), nil
+}
+
+// A run is one Run call: what its attempts share — the resources, their
+// limits and policy phases, the untransformed critical path, the memo of
+// scored states — and the best option so far.
+type run struct {
+	g          *dag.Graph
+	opts       Options
+	resources  []Resource
+	phases     [][]Resource
+	lat        func(*dag.Node) int
+	limits     map[string]int
+	critBefore int
+	memo       memo
+
+	// regs is g.Func's register count on entry. Each attempt truncates the
+	// table back to it before it starts; bestRegs saves the best attempt's
+	// registers from regs on when a later attempt is about to truncate
+	// them, and lastBest says the attempt that ran last is the best one.
+	regs     int
+	bestRegs ir.RegTail
+	lastBest bool
+	bestG    *dag.Graph
+	best     *Report
+}
+
+func newRun(g *dag.Graph, opts Options) (*run, error) {
+	m := opts.Machine
+	if m == nil {
+		return nil, fmt.Errorf("core: no machine configured")
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	r := &run{
+		g:         g,
+		opts:      opts,
+		resources: Resources(g, m),
+		lat:       func(n *dag.Node) int { return m.LatencyOf(n.Instr.Op) },
+		limits:    map[string]int{},
+		regs:      g.Func.NumRegs(),
+	}
+	for _, res := range r.resources {
+		r.limits[res.Name] = res.Limit
+	}
+	// The resource groups to attack in order under the configured policy.
+	switch opts.Policy {
+	case RegistersFirst:
+		r.phases = [][]Resource{filterRes(r.resources, true), filterRes(r.resources, false)}
+	case FUsFirst:
+		r.phases = [][]Resource{filterRes(r.resources, false), filterRes(r.resources, true)}
+	default:
+		r.phases = [][]Resource{r.resources}
+	}
+	r.critBefore = g.CriticalPath(r.lat)
+	return r, nil
+}
+
+// styles returns the reducing attempts' tie-breaks, in the order Run tries
+// them until one fits.
+func (r *run) styles() []scoreStyle {
+	if r.opts.DisableSpills {
+		return []scoreStyle{styleDefault, styleAggressive}
+	}
+	return []scoreStyle{styleDefault, styleAggressive, styleSpillFirst}
+}
+
+// attempt reduces a clone of the untransformed graph under the style,
+// emits it, and keeps it when it beats the best option so far. It returns
+// the attempt's report.
+func (r *run) attempt(style scoreStyle, maxIters int) (*Report, error) {
+	f := r.g.Func
+	if r.lastBest {
+		r.bestRegs = f.RegsFrom(r.regs)
+	}
+	f.TruncateRegs(r.regs)
+	cl := r.g.Clone()
+	rep, err := r.reduce(cl, style, maxIters)
+	if err != nil {
+		return nil, err
+	}
+	rep.Program, _, rep.EmitErr = assign.Emit(cl, r.opts.Machine, sched.Options{})
+	r.lastBest = r.best == nil || betterOption(rep, r.best)
+	if r.lastBest {
+		r.bestG, r.best = cl, rep
+	}
+	return rep, nil
+}
+
+// finish installs the best option: its registers in g.Func and its graph
+// in g.
+func (r *run) finish() *Report {
+	if !r.lastBest {
+		r.g.Func.SetRegsFrom(r.regs, r.bestRegs)
+	}
+	r.g.ReplaceWith(r.bestG)
+	r.best.ScheduleClean = r.best.Program != nil && r.best.Program.Spills == 0
+	return r.best
 }
 
 // betterOption reports whether allocation outcome a has a better overall
@@ -374,51 +457,91 @@ const (
 // the assignment phase, as §2 allows.
 func iterBound(g *dag.Graph) int { return 8*len(g.Nodes) + 16 }
 
-// runOnce measures the graph and commits at most maxIters reductions under
-// the style's tie-break; maxIters 0 is a measurement-only run (the
-// untransformed baseline option).
-func runOnce(g *dag.Graph, opts Options, style scoreStyle, maxIters int) (*Report, error) {
-	m := opts.Machine
-	resources := Resources(g, m)
-	lat := func(n *dag.Node) int { return m.LatencyOf(n.Instr.Op) }
+// memo records the committed states one Run's attempts reached, as a trie
+// over their commit sequences. Node 0 is the untransformed graph; a node's
+// children are the states one commit from it leads to, each keyed by the
+// committed candidate itself. Per policy phase a node holds the outcomes
+// of that phase's iteration at its state, or none when the phase found no
+// candidates there; it also holds the state's total excess.
+//
+// Replay is exact. Candidates name nodes and registers by id and
+// Candidate.Apply is deterministic, so equal commit sequences from the
+// same graph and register table give equal graphs, and equal graphs give
+// equal candidates and outcomes. The child key is the committed candidate
+// rather than its AppendKey: attempts at a node pick from the same stored
+// outcomes, so a shared commit is the same candidate, and no two
+// candidates that merely encode alike (with differing notes or edge order)
+// are taken for one another.
+type memo struct {
+	nodes   []memoNode
+	initial map[string]int // the untransformed widths: every attempt's InitialWidths
+}
 
-	rep := &Report{
-		Machine:       m.Name,
-		Policy:        opts.Policy,
-		InitialWidths: map[string]int{},
-		FinalWidths:   map[string]int{},
-		Limits:        map[string]int{},
-	}
-	rep.CritBefore = g.CriticalPath(lat)
-	for _, r := range resources {
-		rep.Limits[r.Name] = r.Limit
-	}
+type memoNode struct {
+	excess      int
+	cand        *transform.Candidate // the commit from the parent node
+	child, next int32                // first child, next sibling; 0 for none
+	scored      [2]bool              // per phase: its iteration here has run
+	outs        [2][]evalOutcome     // per phase: that iteration's outcomes
+}
 
-	// One evaluator for the whole run: its scratch graphs, closures, and
-	// measurement buffers persist across reduction iterations.
-	ev := newEvaluator(g, resources, lat, &opts)
-
-	st := ev.state()
-	results, excess := st.results, st.excess
-	for name, res := range results {
-		rep.InitialWidths[name] = res.Width
-	}
-	tracef(opts.Trace, "ursa: %s initial widths %v excess %d", m.Name, rep.InitialWidths, excess)
-
-	// phases returns the resource groups to attack in order under the
-	// configured policy.
-	phases := func() [][]Resource {
-		switch opts.Policy {
-		case RegistersFirst:
-			return [][]Resource{filterRes(resources, true), filterRes(resources, false)}
-		case FUsFirst:
-			return [][]Resource{filterRes(resources, false), filterRes(resources, true)}
-		default:
-			return [][]Resource{resources}
+// root returns the untransformed graph's node, measuring the graph through
+// ev on first use.
+func (m *memo) root(ev *evaluator) int32 {
+	if len(m.nodes) == 0 {
+		st := ev.state()
+		m.initial = make(map[string]int, len(st.results))
+		for name, res := range st.results {
+			m.initial[name] = res.Width
 		}
-	}()
+		m.nodes = append(m.nodes, memoNode{excess: st.excess})
+	}
+	return 0
+}
 
-	for _, phase := range phases {
+// child returns the node that committing c at node n leads to. On first
+// use it adds the node with the excess of ev's committed state, which must
+// be the state the commit produced.
+func (m *memo) child(n int32, c *transform.Candidate, ev *evaluator) int32 {
+	for k := m.nodes[n].child; k != 0; k = m.nodes[k].next {
+		if m.nodes[k].cand == c {
+			return k
+		}
+	}
+	k := int32(len(m.nodes))
+	m.nodes = append(m.nodes, memoNode{excess: ev.state().excess, cand: c, next: m.nodes[n].child})
+	m.nodes[n].child = k
+	return k
+}
+
+// reduce measures the graph and commits at most maxIters reductions under
+// the style's tie-break; maxIters 0 is a measurement-only run (the
+// untransformed baseline option). g must equal r.g with g.Func's register
+// table at its entry state. While the attempt's commits follow a path in
+// the memo it replays: it picks from the stored outcomes with its own
+// style and commits the pick through the evaluator, which keeps the graph
+// and its closure current, but it generates and scores nothing. From its
+// first state off the path on it scores, and records what it scored.
+func (r *run) reduce(g *dag.Graph, style scoreStyle, maxIters int) (*Report, error) {
+	opts := &r.opts
+	rep := &Report{
+		Machine:     opts.Machine.Name,
+		Policy:      opts.Policy,
+		FinalWidths: map[string]int{},
+		Limits:      r.limits,
+		CritBefore:  r.critBefore,
+	}
+
+	// One evaluator for the whole attempt: its scratch graphs, closures,
+	// and measurement buffers persist across reduction iterations.
+	ev := newEvaluator(g, r.resources, r.lat, opts)
+	node := r.memo.root(ev)
+	rep.InitialWidths = r.memo.initial
+	excess := r.memo.nodes[node].excess
+	tracef(opts.Trace, "ursa: %s initial widths %v excess %d", opts.Machine.Name, rep.InitialWidths, excess)
+
+	var scored, replayed uint64
+	for pi, phase := range r.phases {
 		// Plateau moves: when no candidate strictly reduces total excess, a
 		// bounded number of excess-preserving transformations may still be
 		// committed — the paper notes a single application often cannot
@@ -426,17 +549,26 @@ func runOnce(g *dag.Graph, opts Options, style scoreStyle, maxIters int) (*Repor
 		// the transformed DAG.
 		plateau := 4
 		for rep.Iterations < maxIters && excess > 0 {
-			// One Hammocks and one Depths pass per iteration (memoized in
-			// the evaluator until the next commit), shared by excess-set
-			// location and every candidate generator.
-			st := ev.state()
-			cands := ev.collectCandidates(st, phase)
-			if len(cands) == 0 {
-				break
+			nd := &r.memo.nodes[node]
+			outs := nd.outs[pi]
+			if nd.scored[pi] {
+				replayed++
+			} else {
+				scored++
+				// One Hammocks and one Depths pass per iteration (memoized
+				// in the evaluator until the next commit), shared by
+				// excess-set location and every candidate generator.
+				st := ev.state()
+				if cands := ev.collectCandidates(st, phase); len(cands) > 0 {
+					var err error
+					if outs, err = ev.evalAll(cands); err != nil {
+						return nil, err
+					}
+				}
+				nd.scored[pi], nd.outs[pi] = true, outs
 			}
-			outs, err := ev.evalAll(cands)
-			if err != nil {
-				return nil, err
+			if len(outs) == 0 {
+				break
 			}
 			best, bestExcess, improved := pickBest(outs, excess, style)
 			if !improved {
@@ -466,16 +598,17 @@ func runOnce(g *dag.Graph, opts Options, style scoreStyle, maxIters int) (*Repor
 			})
 			tracef(opts.Trace, "ursa: applied %s (%s): excess %d -> %d",
 				best.cand.Kind, best.cand.Note, excess, bestExcess)
-			nst := ev.state()
-			results, excess = nst.results, nst.excess
+			node = r.memo.child(node, best.cand, ev)
+			excess = r.memo.nodes[node].excess
 		}
 	}
+	metrics.AddReduceIterations(scored, replayed)
 
-	for name, res := range results {
+	for name, res := range ev.state().results {
 		rep.FinalWidths[name] = res.Width
 	}
 	rep.Fits = rep.TotalExcess() == 0
-	rep.CritAfter = g.CriticalPath(lat)
+	rep.CritAfter = g.CriticalPath(r.lat)
 	tracef(opts.Trace, "ursa: final widths %v fits=%v crit %d -> %d",
 		rep.FinalWidths, rep.Fits, rep.CritBefore, rep.CritAfter)
 	return rep, nil

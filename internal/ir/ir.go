@@ -15,6 +15,8 @@ package ir
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -344,19 +346,51 @@ func (f *Func) memString(in *Instr) string {
 	}
 }
 
+// A RegTail is a copy of a function's registers numbered from some n on:
+// their names and classes, in id order.
+type RegTail struct {
+	names   []string
+	classes []Class
+}
+
+// RegsFrom copies the registers numbered n and above.
+func (f *Func) RegsFrom(n int) RegTail {
+	if n >= len(f.regName) {
+		return RegTail{}
+	}
+	return RegTail{slices.Clone(f.regName[n:]), slices.Clone(f.regClass[n:])}
+}
+
+// SetRegsFrom discards every register numbered n and above, as
+// TruncateRegs does, and appends t's registers in their place: restoring a
+// RegsFrom(n) snapshot taken when the function had the same first n
+// registers.
+func (f *Func) SetRegsFrom(n int, t RegTail) {
+	f.TruncateRegs(n)
+	for i, name := range t.names {
+		f.byName[name] = VReg(len(f.regName))
+		f.regName = append(f.regName, name)
+		f.regClass = append(f.regClass, t.classes[i])
+	}
+}
+
+// CloneRegs copies the function's name and register tables but no blocks:
+// enough for code that reads and allocates registers of a graph's
+// instructions without touching the function body.
+func (f *Func) CloneRegs() *Func {
+	return &Func{
+		Name:     f.Name,
+		regClass: slices.Clone(f.regClass),
+		regName:  slices.Clone(f.regName),
+		byName:   maps.Clone(f.byName),
+	}
+}
+
 // Clone deep-copies the function: blocks, instructions, and the register
 // tables. Register ids remain identical, so analyses keyed by VReg carry
 // over to the copy.
 func (f *Func) Clone() *Func {
-	c := &Func{
-		Name:     f.Name,
-		regClass: append([]Class(nil), f.regClass...),
-		regName:  append([]string(nil), f.regName...),
-		byName:   make(map[string]VReg, len(f.byName)),
-	}
-	for k, v := range f.byName {
-		c.byName[k] = v
-	}
+	c := f.CloneRegs()
 	for _, b := range f.Blocks {
 		nb := c.NewBlock(b.Label)
 		for _, in := range b.Instrs {

@@ -89,11 +89,19 @@ func (m *Matcher) Seed(chains order.Decomposition) {
 // Augment runs an augmenting-path search from every unmatched left vertex,
 // in ascending order, and returns the matching size: maximum over the
 // edges the search may use.
+//
+// The visited marks are cleared once per call and after each successful
+// search, not before every search. A failed search changes nothing, and
+// every right vertex it visited leads only to visited vertices with no
+// augmenting path, so a later search that reaches one would fail there
+// again; skipping it finds the same path. Under AugmentLevels a left
+// vertex's admissible neighbours depend on that vertex's level, never on
+// the search root, so the argument holds batch by batch.
 func (m *Matcher) Augment() int {
+	clear(m.visited)
 	for l, r := range m.matchL {
-		if r == -1 {
+		if r == -1 && m.try(int32(l)) {
 			clear(m.visited)
-			m.try(int32(l))
 		}
 	}
 	return m.Size()
@@ -108,10 +116,21 @@ func (m *Matcher) Augment() int {
 // right)-sorted edges would hold, and hence the matching such a batched
 // matcher finds. A batch with no edges leaves the matching as it was.
 func (m *Matcher) AugmentLevels(level func(a int) int) int {
-	n, words := len(m.matchL), len(m.visited)
-	if n == 0 {
+	if len(m.matchL) == 0 {
 		return 0
 	}
+	m.setLevels(level)
+	for m.prio = 0; m.prio < m.nlev; m.prio++ {
+		m.Augment()
+	}
+	m.prio = -1
+	return m.Size()
+}
+
+// setLevels records every vertex's level, shifted to start at 0, and each
+// level's vertex row for AugmentLevels' batches.
+func (m *Matcher) setLevels(level func(a int) int) {
+	n, words := len(m.matchL), len(m.visited)
 	m.level = fill(m.level, n, 0)
 	lo, hi := level(0), level(0)
 	for a := range m.level {
@@ -125,11 +144,6 @@ func (m *Matcher) AugmentLevels(level func(a int) int) int {
 		m.level[a] -= int32(lo)
 		m.masks[int(m.level[a])*words+a>>6] |= 1 << (a & 63)
 	}
-	for m.prio = 0; m.prio < m.nlev; m.prio++ {
-		m.Augment()
-	}
-	m.prio = -1
-	return m.Size()
 }
 
 // mask returns level L's vertex row, all zero when L is out of range.

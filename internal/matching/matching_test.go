@@ -3,6 +3,7 @@ package matching
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ursa/internal/order"
@@ -387,5 +388,99 @@ func TestMatcherResetAllocatesNothing(t *testing.T) {
 		m.AugmentLevels(level)
 	}); a != 0 {
 		t.Errorf("allocs per run = %v, want 0", a)
+	}
+}
+
+// augmentClearing is Augment with the visited marks cleared before every
+// search, failed or not: the textbook Kuhn loop Augment must agree with.
+func augmentClearing(m *Matcher) int {
+	for l, r := range m.matchL {
+		if r == -1 {
+			clear(m.visited)
+			m.try(int32(l))
+		}
+	}
+	return m.Size()
+}
+
+// augmentLevelsClearing is AugmentLevels over augmentClearing.
+func augmentLevelsClearing(m *Matcher, level func(a int) int) int {
+	if len(m.matchL) == 0 {
+		return 0
+	}
+	m.setLevels(level)
+	for m.prio = 0; m.prio < m.nlev; m.prio++ {
+		augmentClearing(m)
+	}
+	m.prio = -1
+	return m.Size()
+}
+
+// TestVisitedKeptAcrossFailedSearches: keeping the visited marks of failed
+// searches finds exactly the matching the textbook loop finds, pair for
+// pair — cold, warm-started from Seeded chains, and under AugmentLevels
+// with random levels — on random relations and random partial orders.
+func TestVisitedKeptAcrossFailedSearches(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var got, want Matcher
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(150)
+		var adj [][]int
+		if trial%2 == 0 {
+			adj = randomAdj(rng, n, n, []float64{0.01, 0.04, 0.2}[trial%3])
+		} else {
+			adj = randomOrder(rng, n, []float64{0.02, 0.1, 0.4}[trial%3])
+		}
+		rel := relationOf(n, n, adj)
+		levels := make([]int, n)
+		for a := range levels {
+			levels[a] = rng.Intn(1 + rng.Intn(6))
+		}
+		level := func(a int) int { return levels[a] }
+
+		// A warm start: the chains of a maximum matching over part of the
+		// pairs (a partial order's, so the pairs form chains).
+		var seed order.Decomposition
+		if trial%2 == 1 {
+			part := order.NewRelation(n)
+			for a, bs := range adj {
+				for _, b := range bs {
+					if rng.Intn(2) == 0 {
+						part.Add(a, b)
+					}
+				}
+			}
+			var base Matcher
+			base.Reset(part)
+			base.Augment()
+			seed = chainsOf(&base, n)
+		}
+
+		for _, mode := range []string{"cold", "levels", "seeded", "seeded levels"} {
+			if strings.HasPrefix(mode, "seeded") && seed == nil {
+				continue
+			}
+			got.Reset(rel)
+			want.Reset(rel)
+			if seed != nil && strings.HasPrefix(mode, "seeded") {
+				got.Seed(seed)
+				want.Seed(seed)
+			}
+			var gs, ws int
+			if strings.HasSuffix(mode, "levels") {
+				gs, ws = got.AugmentLevels(level), augmentLevelsClearing(&want, level)
+			} else {
+				gs, ws = got.Augment(), augmentClearing(&want)
+			}
+			if gs != ws {
+				t.Fatalf("trial %d n=%d %s: size %d, clearing loop %d", trial, n, mode, gs, ws)
+			}
+			for l := 0; l < n; l++ {
+				if got.PairL(l) != want.PairL(l) {
+					t.Fatalf("trial %d n=%d %s: PairL(%d) = %d, clearing loop %d",
+						trial, n, mode, l, got.PairL(l), want.PairL(l))
+				}
+			}
+		}
 	}
 }

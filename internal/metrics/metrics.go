@@ -276,6 +276,30 @@ func (f *funcMetric) write(w io.Writer, name, help string) {
 	fmt.Fprintf(w, "%s %s\n", name, formatFloat(f.fn()))
 }
 
+// funcVec is a family of scrape-time callbacks keyed by one label value.
+type funcVec struct {
+	typ, label string
+	series     map[string]func() float64
+}
+
+// FuncVec registers a family of scrape-time callback series, one per
+// label value in series, rendered in label-value order.
+func (r *Registry) FuncVec(name, help, typ, label string, series map[string]func() float64) {
+	r.register(name, help, &funcVec{typ: typ, label: label, series: series})
+}
+
+func (f *funcVec) write(w io.Writer, name, help string) {
+	writeHeader(w, name, help, f.typ)
+	vals := make([]string, 0, len(f.series))
+	for v := range f.series {
+		vals = append(vals, v)
+	}
+	sort.Strings(vals)
+	for _, v := range vals {
+		fmt.Fprintf(w, "%s{%s=%q} %s\n", name, f.label, v, formatFloat(f.series[v]()))
+	}
+}
+
 // -------------------------------------------------------------- histogram
 
 // A Histogram counts observations into cumulative buckets (Prometheus

@@ -97,6 +97,28 @@ func TestFuncMetric(t *testing.T) {
 	}
 }
 
+func TestFuncVec(t *testing.T) {
+	r := NewRegistry()
+	a, b := 1.0, 2.0
+	r.FuncVec("iters_total", "iterations by path", "counter", "path", map[string]func() float64{
+		"scored":   func() float64 { return a },
+		"replayed": func() float64 { return b },
+	})
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	want := "# HELP iters_total iterations by path\n# TYPE iters_total counter\n" +
+		"iters_total{path=\"replayed\"} 2\niters_total{path=\"scored\"} 1\n"
+	if sb.String() != want {
+		t.Errorf("got:\n%s\nwant:\n%s", sb.String(), want)
+	}
+	b = 5
+	sb.Reset()
+	r.WritePrometheus(&sb)
+	if !strings.Contains(sb.String(), `iters_total{path="replayed"} 5`) {
+		t.Errorf("func vec not re-evaluated at scrape:\n%s", sb.String())
+	}
+}
+
 func TestHandlerContentType(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total", "x").Inc()

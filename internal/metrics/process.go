@@ -19,6 +19,23 @@ func AddCandidateEvals(n uint64) { candidateEvals.Add(n) }
 // evaluations performed by the reduction loop.
 func CandidateEvals() uint64 { return candidateEvals.Load() }
 
+var reduceScored, reduceReplayed atomic.Uint64
+
+// AddReduceIterations records reduction-loop iterations by path: scored
+// ones generated and scored their state's candidates; replayed ones took
+// the outcomes an earlier attempt of the same core.Run stored for the
+// state.
+func AddReduceIterations(scored, replayed uint64) {
+	reduceScored.Add(scored)
+	reduceReplayed.Add(replayed)
+}
+
+// ReduceIterations returns the process-wide totals of scored and replayed
+// reduction-loop iterations.
+func ReduceIterations() (scored, replayed uint64) {
+	return reduceScored.Load(), reduceReplayed.Load()
+}
+
 var evalIdleNanos atomic.Uint64
 
 // AddEvalIdleNanos records nanoseconds evaluator workers spent idle during

@@ -162,6 +162,10 @@ func New(cfg Config) *Server {
 	r.Func("ursa_candidate_evals_total", "reduction candidates evaluated by the core loop", "counter", func() float64 {
 		return float64(metrics.CandidateEvals())
 	})
+	r.FuncVec("ursa_reduce_iterations_total", "reduction-loop iterations by path: scored, or replayed from the outcomes an earlier attempt of the same core.Run stored", "counter", "path", map[string]func() float64{
+		"scored":   func() float64 { s, _ := metrics.ReduceIterations(); return float64(s) },
+		"replayed": func() float64 { _, r := metrics.ReduceIterations(); return float64(r) },
+	})
 	r.Func("ursa_eval_busy_seconds_total", "cumulative wall time evaluator workers spent scoring candidates", "counter", func() float64 {
 		return float64(metrics.EvalBusyNanos()) / 1e9
 	})

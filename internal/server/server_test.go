@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -529,8 +530,9 @@ func TestCompileUnfitMachine(t *testing.T) {
 }
 
 // TestPprofGated: the profiling endpoints exist only when Config opts in,
-// and compiling bumps the process-wide candidate-evaluation counter on
-// /metrics.
+// and compiling bumps the process-wide core counters on /metrics: the
+// candidate evaluations, and the reduction iterations by path, replayed
+// ones included once a block's style retries share its scored states.
 func TestPprofGated(t *testing.T) {
 	_, off := newTestServer(t, Config{})
 	if code, _ := getJSON(t, off.URL+"/debug/pprof/", nil); code != http.StatusNotFound {
@@ -545,24 +547,49 @@ func TestPprofGated(t *testing.T) {
 		t.Errorf("pprof enabled: GET /debug/pprof/symbol = %d, want 200", code)
 	}
 
+	sample := func(series string) float64 {
+		t.Helper()
+		_, raw := getJSON(t, on.URL+"/metrics", nil)
+		for _, line := range strings.Split(string(raw), "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("/metrics sample %q: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("/metrics missing a %s sample:\n%s", series, raw)
+		return 0
+	}
+	const (
+		evals    = "ursa_candidate_evals_total"
+		scored   = `ursa_reduce_iterations_total{path="scored"}`
+		replayed = `ursa_reduce_iterations_total{path="replayed"}`
+	)
+	evals0, scored0, replayed0 := sample(evals), sample(scored), sample(replayed)
+
 	// The paper machine is tight enough to force reduction candidates; the
 	// default preset fits Figure 2 untransformed and would evaluate none.
-	req := CompileRequest{Machine: MachineSpec{Preset: "paper2x3"}}
-	if code, raw := postJSON(t, on.URL+"/v1/compile", req, nil); code != http.StatusOK {
-		t.Fatalf("compile: %d: %s", code, raw)
+	// matmul4 unrolled four times has blocks whose default attempt does
+	// not fit, so their retries replay.
+	reqs := []CompileRequest{
+		{Machine: MachineSpec{Preset: "paper2x3"}},
+		{Machine: MachineSpec{Preset: "paper2x3"}, Lang: "kernel", Unroll: 4,
+			Source: workload.KernelByName("matmul4").Source},
 	}
-	_, raw := getJSON(t, on.URL+"/metrics", nil)
-	var sample string
-	for _, line := range strings.Split(string(raw), "\n") {
-		if strings.HasPrefix(line, "ursa_candidate_evals_total") {
-			sample = line
-			break
+	for _, req := range reqs {
+		if code, raw := postJSON(t, on.URL+"/v1/compile", req, nil); code != http.StatusOK {
+			t.Fatalf("compile: %d: %s", code, raw)
 		}
 	}
-	if sample == "" {
-		t.Fatalf("/metrics missing an ursa_candidate_evals_total sample:\n%s", raw)
+	if sample(evals) == evals0 {
+		t.Error("candidate evals unchanged by pressured compiles")
 	}
-	if strings.HasSuffix(sample, " 0") {
-		t.Errorf("candidate evals still zero after a pressured compile: %q", sample)
+	if sample(scored) == scored0 {
+		t.Error("no scored reduction iteration counted")
+	}
+	if sample(replayed) == replayed0 {
+		t.Error("no replayed reduction iteration counted")
 	}
 }
